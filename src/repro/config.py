@@ -37,8 +37,10 @@ class GGridConfig:
             (an optimisation ablated in the benchmarks; the paper's
             Algorithm 5 always runs ``|V|`` rounds).
         sdist_backend: ``"lockstep"`` (faithful per-element kernel) or
-            ``"vectorized"`` (numpy formulation, identical results,
-            faster host simulation).
+            ``"vectorized"`` (numpy formulation, identical distances,
+            faster host simulation).  With ``sdist_early_exit`` the two
+            may stop after different round counts and so charge
+            different work; see :mod:`repro.core.sdist_vectorized`.
         partitioner: ``"multilevel"`` (the default: recursive balanced
             bisection via the multilevel partitioner, minimising crossing
             edges) or ``"geometric"`` (coordinate-median splits over

@@ -221,13 +221,11 @@ class GGridIndex:
         same exact answer; :attr:`KnnAnswer.degraded_rung`,
         :attr:`KnnAnswer.retries` and :attr:`KnnAnswer.backoff_s` record
         what it cost.  Non-device errors propagate unchanged.
+
+        One query is a batch of one: it takes exactly the path of
+        :meth:`knn_batch`.
         """
-        now = self.latest_time if t_now is None else t_now
-        return self._run_resilient(
-            now,
-            lambda use_gpu: self._processor.query(location, k, now, use_gpu=use_gpu),
-            lambda: self._processor.exact_query(location, k),
-        )
+        return self.knn_batch([(location, k)], t_now)[0]
 
     def knn_batch(
         self,
@@ -243,7 +241,7 @@ class GGridIndex:
         the surviving queries' candidate kernels run as fused per-batch
         launches with one shared device-to-host transfer.  Answers are
         identical to issuing each query individually.  Device faults
-        degrade the whole batch down the same ladder as :meth:`knn`;
+        degrade the whole batch down the resilience ladder;
         retry backoff is charged once, on the first answer.  When
         ``exec_stats`` is given it is filled with the batch's
         work-sharing accounting (reset on every ladder attempt, so it
@@ -270,10 +268,10 @@ class GGridIndex:
     def _run_resilient(
         self,
         now: float,
-        attempt: Callable[[bool], KnnAnswer | list[KnnAnswer]],
-        exact: Callable[[], KnnAnswer | list[KnnAnswer]],
-    ):
-        """Run a query callable down the degradation ladder.
+        attempt: Callable[[bool], list[KnnAnswer]],
+        exact: Callable[[], list[KnnAnswer]],
+    ) -> list[KnnAnswer]:
+        """Run a query batch down the degradation ladder.
 
         ``attempt(use_gpu)`` runs the normal processor path;
         ``exact()`` is the rung-3 Dijkstra fallback.  Only

@@ -1,6 +1,7 @@
 """kNN query processing (Algorithm 4): the CPU–GPU collaboration.
 
-A query runs in three phases:
+Queries run in epoch batches — a single query is a batch of one — and a
+batch runs in three phases:
 
 1. **Candidate cells** — starting from the query's cell and its grid
    neighbours, rings of cells are cleaned (lazily, on the GPU) until at
@@ -12,6 +13,9 @@ A query runs in three phases:
 3. **Refinement on the CPU** — bounded Dijkstra from each unresolved
    vertex (Algorithm 6) fixes up both missed objects and shortcut paths,
    yielding the exact k nearest neighbours.
+
+Phase 1 shares cleaning across the batch and phase 2 fuses every query
+into one launch per kernel; see :meth:`KnnProcessor.query_batch`.
 
 If the whole network is cleaned and fewer than ``k`` finite candidates
 exist (or all cells hold fewer than ``k`` objects), the processor falls
@@ -172,122 +176,7 @@ class KnnProcessor:
         self._refine_scratch: RefineScratch | None = None
 
     # ------------------------------------------------------------------
-    # public entry point
-    # ------------------------------------------------------------------
-    def query(
-        self,
-        location: NetworkLocation,
-        k: int,
-        t_now: float,
-        use_gpu: bool = True,
-    ) -> KnnAnswer:
-        """Answer a kNN query issued at ``location`` at time ``t_now``.
-
-        ``use_gpu=False`` is the degraded rung: cleaning deduplicates on
-        the host and phase 2 executes the vectorised SDist/First-k/
-        Unresolved kernels as plain CPU code, never touching the device.
-        Answers are identical either way.
-
-        Raises:
-            QueryError: for ``k <= 0`` or a location off the network.
-        """
-        if k <= 0:
-            raise QueryError(f"k must be positive, got {k}")
-        location.validate(self.graph)
-        answer = KnnAnswer()
-
-        # -- phase 1: select candidate cells, cleaning lazily (lines 1-4)
-        with span("select_candidates") as sp:
-            t0 = time.perf_counter()
-            gpu_before = self.gpu.stats.gpu_time_s
-            cells, occupants = self._select_candidates(
-                location, k, t_now, answer, use_gpu
-            )
-            answer.gpu_phase_s["clean_cells"] = self.gpu.stats.gpu_time_s - gpu_before
-            answer.cpu_seconds["select"] = time.perf_counter() - t0
-            answer.cells_cleaned = len(cells)
-            answer.candidates = len(occupants)
-            sp.set_attr("cells", len(cells))
-            sp.set_attr("candidates", len(occupants))
-
-        return self._finish_query(location, k, cells, occupants, answer, use_gpu)
-
-    def exact_query(self, location: NetworkLocation, k: int) -> KnnAnswer:
-        """The last resilience rung: one exact Dijkstra sweep from the
-        query against the (eagerly maintained) object table, bypassing
-        every index structure and the device entirely.
-
-        Raises:
-            QueryError: for ``k <= 0`` or a location off the network.
-        """
-        if k <= 0:
-            raise QueryError(f"k must be positive, got {k}")
-        location.validate(self.graph)
-        return self._fallback(location, k, KnnAnswer())
-
-    def _finish_query(
-        self,
-        location: NetworkLocation,
-        k: int,
-        cells: set[int],
-        occupants: dict[int, tuple[int, CleanedLocation]],
-        answer: KnnAnswer,
-        use_gpu: bool = True,
-    ) -> KnnAnswer:
-        """Phases 2-3 (shared by single and batched queries): GPU
-        candidate set (lines 5-9), then CPU refinement (Algorithm 6)."""
-        if len(occupants) < k:
-            return self._fallback(location, k, answer)
-
-        if use_gpu:
-            candidates, unresolved, l_bound = self._gpu_candidates(
-                location, k, cells, occupants, answer
-            )
-        else:
-            candidates, unresolved, l_bound = self._host_candidates(
-                location, k, cells, occupants, answer
-            )
-        return self._refine_answer(location, k, candidates, unresolved, l_bound, answer)
-
-    def _refine_answer(
-        self,
-        location: NetworkLocation,
-        k: int,
-        candidates: dict[int, float],
-        unresolved: list[tuple[int, float]],
-        l_bound: float,
-        answer: KnnAnswer,
-    ) -> KnnAnswer:
-        """Phase 3 (Algorithm 6) on one query's candidate set."""
-        if l_bound == _INF:
-            return self._fallback(location, k, answer)
-        answer.unresolved = len(unresolved)
-
-        if unresolved and self._refine_scratch is None:
-            self._refine_scratch = RefineScratch(self.graph, self.grid.cell_of_vertex)
-        with span("refine") as sp:
-            t0 = time.perf_counter()
-            results, settled = refine_knn(
-                self.graph,
-                self.object_table,
-                self.grid.cell_of_vertex,
-                candidates,
-                unresolved,
-                k,
-                l_bound,
-                scratch=self._refine_scratch,
-            )
-            answer.cpu_seconds["refine"] = time.perf_counter() - t0
-            answer.refine_settled = settled
-            sp.set_attr("unresolved", len(unresolved))
-            sp.set_attr("settled", settled)
-        answer.entries = [KnnResultEntry(o, d) for o, d in results]
-        if len(answer.entries) < k:
-            return self._fallback(location, k, answer)
-        return answer
-
-    # ------------------------------------------------------------------
-    # batched queries
+    # public entry points
     # ------------------------------------------------------------------
     def query_batch(
         self,
@@ -298,24 +187,31 @@ class KnnProcessor:
     ) -> list[KnnAnswer]:
         """Answer an epoch batch of concurrent queries, sharing the GPU.
 
-        This is the mechanism behind the paper's *G-Grid* vs *G-Grid (L)*
-        gap (Fig. 5), extended across the whole pipeline:
+        This is the only kNN driver: a single query is a batch of one.
+        Batching is the mechanism behind the paper's *G-Grid* vs
+        *G-Grid (L)* gap (Fig. 5), extended across the whole pipeline:
 
         - **phase 1** — in every expansion round the candidate-cell
           frontiers of all in-flight queries are unioned and cleaned in
           one GPU pipeline, so overlapping regions are shipped and
           deduplicated once instead of once per query;
         - **phase 2** — the surviving queries' SDist / First-k /
-          Unresolved work is fused into one batched launch per kernel
-          (each job still charged at its own thread count, so modelled
-          work is identical) and the candidate sets travel back in one
-          shared device-to-host transfer;
+          Unresolved work is fused into one launch per kernel (each job
+          still charged at its own thread count, so modelled work is
+          identical) and the candidate sets travel back in one shared
+          device-to-host transfer;
         - **phase 3** — CPU refinement fans back out per query.
 
-        Returns one :class:`KnnAnswer` per query, identical to what
-        :meth:`query` would return for each individually.  When
-        ``exec_stats`` is given it is reset and filled with the batch's
-        work-sharing accounting.
+        ``use_gpu=False`` is the degraded rung: cleaning deduplicates on
+        the host and phase 2 executes the vectorised SDist/First-k/
+        Unresolved kernels as plain CPU code, never touching the device.
+
+        Returns one :class:`KnnAnswer` per query, identical to what each
+        query would get alone.  When ``exec_stats`` is given it is reset
+        and filled with the batch's work-sharing accounting.
+
+        Raises:
+            QueryError: for ``k <= 0`` or a location off the network.
         """
         for location, k in queries:
             if k <= 0:
@@ -327,6 +223,9 @@ class KnnProcessor:
         if not queries:
             return []
 
+        # phase 1: select candidate cells, cleaning lazily (lines 1-4);
+        # every query's ring expands against the shared cleaned-cell
+        # cache, one cleaning pipeline per round
         cleaned: dict[int, dict[int, CleanedLocation]] = {}
         rounds = 0
 
@@ -343,40 +242,47 @@ class KnnProcessor:
             for cell in todo:
                 cleaned[cell] = result.occupants.get(cell, {})
 
-        # phase 1, batched: expand every query's ring against the shared
-        # cleaned-cell cache, one GPU pipeline per round
-        t0 = time.perf_counter()
-        clean_before = self.gpu.stats.gpu_time_s
-        states = []
-        for location, k in queries:
-            c_q = self.grid.cell_of_edge(location.edge_id)
-            states.append(
-                {
-                    "frontier": {c_q} | set(self.grid.neighbors(c_q)),
-                    "cells": set(),
-                    "done": False,
-                }
-            )
-        while not all(s["done"] for s in states):
-            union_frontier: set[int] = set()
-            for state in states:
-                if not state["done"]:
-                    union_frontier |= state["frontier"]
-            clean_shared(union_frontier)
-            rounds += 1
-            for (location, k), state in zip(queries, states):
-                if state["done"]:
-                    continue
-                state["cells"] |= state["frontier"]
-                found = sum(len(cleaned[c]) for c in state["cells"])
-                if found >= self.config.rho * k:
-                    state["done"] = True
-                    continue
-                state["frontier"] = self.grid.neighbors_of_set(state["cells"])
-                if not state["frontier"]:
-                    state["done"] = True
-        clean_share = (self.gpu.stats.gpu_time_s - clean_before) / len(queries)
-        select_share = (time.perf_counter() - t0) / len(queries)
+        with span("select_candidates") as sp:
+            t0 = time.perf_counter()
+            clean_before = self.gpu.stats.gpu_time_s
+            states = []
+            for location, k in queries:
+                c_q = self.grid.cell_of_edge(location.edge_id)
+                states.append(
+                    {
+                        "frontier": {c_q} | set(self.grid.neighbors(c_q)),
+                        "cells": set(),
+                        "done": False,
+                    }
+                )
+            while not all(s["done"] for s in states):
+                union_frontier: set[int] = set()
+                for state in states:
+                    if not state["done"]:
+                        union_frontier |= state["frontier"]
+                clean_shared(union_frontier)
+                rounds += 1
+                for (location, k), state in zip(queries, states):
+                    if state["done"]:
+                        continue
+                    state["cells"] |= state["frontier"]
+                    found = sum(len(cleaned[c]) for c in state["cells"])
+                    if found >= self.config.rho * k:
+                        state["done"] = True
+                        continue
+                    state["frontier"] = self.grid.neighbors_of_set(state["cells"])
+                    if not state["frontier"]:
+                        state["done"] = True
+            occupants_of = [
+                {obj: (cell, loc) for cell in s["cells"] for obj, loc in cleaned[cell].items()}
+                for s in states
+            ]
+            clean_share = (self.gpu.stats.gpu_time_s - clean_before) / len(queries)
+            select_share = (time.perf_counter() - t0) / len(queries)
+            sp.set_attr("queries", len(queries))
+            sp.set_attr("rounds", rounds)
+            sp.set_attr("cells", len(cleaned))
+            sp.set_attr("candidates", sum(len(o) for o in occupants_of))
 
         if exec_stats is not None:
             exec_stats.rounds = rounds
@@ -389,31 +295,22 @@ class KnnProcessor:
         jobs: list[
             tuple[int, NetworkLocation, int, set[int], dict[int, tuple[int, CleanedLocation]]]
         ] = []
-        for i, ((location, k), state) in enumerate(zip(queries, states)):
+        for i, ((location, k), state, occupants) in enumerate(
+            zip(queries, states, occupants_of)
+        ):
             answer = answers[i]
-            cells = state["cells"]
-            occupants = {
-                obj: (cell, loc)
-                for cell in cells
-                for obj, loc in cleaned[cell].items()
-            }
-            answer.cells_cleaned = len(cells)
+            answer.cells_cleaned = len(state["cells"])
             answer.candidates = len(occupants)
             answer.gpu_phase_s["clean_cells"] = clean_share
             answer.cpu_seconds["select"] = select_share
             if len(occupants) < k:
                 answers[i] = self._fallback(location, k, answer)
             else:
-                jobs.append((i, location, k, cells, occupants))
+                jobs.append((i, location, k, state["cells"], occupants))
 
         if jobs:
-            if use_gpu and len(jobs) == 1:
-                # nothing to fuse: run the sequential kernels so a batch
-                # of one is counter-for-counter identical to query()
-                i, location, k, cells, occupants = jobs[0]
-                phase2 = [self._gpu_candidates(location, k, cells, occupants, answers[i])]
-            elif use_gpu:
-                phase2 = self._gpu_candidates_batch(jobs, answers)
+            if use_gpu:
+                phase2 = self._device_candidates(jobs, answers)
             else:
                 phase2 = [
                     self._host_candidates(location, k, cells, occupants, answers[i])
@@ -431,38 +328,18 @@ class KnnProcessor:
             exec_stats.fallbacks = sum(1 for a in answers if a.used_fallback)
         return answers
 
-    # ------------------------------------------------------------------
-    # phase 1
-    # ------------------------------------------------------------------
-    def _select_candidates(
-        self,
-        location: NetworkLocation,
-        k: int,
-        t_now: float,
-        answer: KnnAnswer,
-        use_gpu: bool = True,
-    ) -> tuple[set[int], dict[int, tuple[int, CleanedLocation]]]:
-        """Expand cell rings until ``rho * k`` candidate objects are found."""
-        target = self.config.rho * k
-        c_q = self.grid.cell_of_edge(location.edge_id)
-        frontier = {c_q} | set(self.grid.neighbors(c_q))
-        cells: set[int] = set()
-        occupants: dict[int, tuple[int, CleanedLocation]] = {}
-        while True:
-            result = self.cleaner.clean(
-                {c: self._list_of(c) for c in frontier},
-                t_now,
-                self.object_table,
-                use_gpu=use_gpu,
-            )
-            occupants.update(result.all_objects())
-            cells |= frontier
-            if len(occupants) >= target:
-                break
-            frontier = self.grid.neighbors_of_set(cells)
-            if not frontier:
-                break  # the whole network is cleaned
-        return cells, occupants
+    def exact_query(self, location: NetworkLocation, k: int) -> KnnAnswer:
+        """The last resilience rung: one exact Dijkstra sweep from the
+        query against the (eagerly maintained) object table, bypassing
+        every index structure and the device entirely.
+
+        Raises:
+            QueryError: for ``k <= 0`` or a location off the network.
+        """
+        if k <= 0:
+            raise QueryError(f"k must be positive, got {k}")
+        location.validate(self.graph)
+        return self._fallback(location, k, KnnAnswer())
 
     def _list_of(self, cell: int) -> MessageList:
         if self.list_factory is not None:
@@ -512,85 +389,17 @@ class KnnProcessor:
             np.minimum(scores, offsets - location.offset, out=scores, where=ahead)
         return dict(zip(objs, scores.tolist()))
 
-    def _gpu_candidates(
-        self,
-        location: NetworkLocation,
-        k: int,
-        cells: set[int],
-        occupants: dict[int, tuple[int, CleanedLocation]],
-        answer: KnnAnswer,
-    ) -> tuple[dict[int, float], list[tuple[int, float]], float]:
-        """Run GPU_SDist / GPU_First_k / GPU_Unresolved (lines 5-9)."""
-        stats = self.gpu.stats
-        with span("sdist") as sp:
-            before = stats.kernel_time_s
-            slab = self.grid.pack_of_cells(cells)
-            seeds = entry_costs(self.graph, location)
-            dist = self.gpu.launch(
-                "GPU_SDist",
-                max(1, len(slab)),
-                get_sdist_kernel(self.config.sdist_backend),
-                slab,
-                slab.vertex_list,
-                seeds,
-                self.config.delta_v,
-                self.config.sdist_early_exit,
-            )
-            answer.gpu_phase_s["sdist"] = stats.kernel_time_s - before
-            sp.set_attr("elements", len(slab))
-            sp.set_attr("sim_s", answer.gpu_phase_s["sdist"])
-
-        with span("first_k") as sp:
-            before = stats.kernel_time_s
-            object_distances = self._score_occupants(location, dist, occupants)
-            ranked = self.gpu.launch(
-                "GPU_First_k",
-                max(1, len(object_distances)),
-                first_k_kernel,
-                object_distances,
-                k,
-            )
-            l_bound = ranked[k - 1][1] if len(ranked) >= k else _INF
-            answer.gpu_phase_s["first_k"] = stats.kernel_time_s - before
-            sp.set_attr("candidates", len(object_distances))
-
-        with span("unresolved") as sp:
-            before = stats.kernel_time_s
-            boundary = self.grid.boundary_vertices(cells)
-            unresolved = self.gpu.launch(
-                "GPU_Unresolved",
-                max(1, len(boundary)),
-                unresolved_kernel,
-                boundary,
-                dist,
-                l_bound,
-            )
-            answer.gpu_phase_s["unresolved"] = stats.kernel_time_s - before
-            sp.set_attr("boundary", len(boundary))
-
-        # candidate + unresolved sets travel back to the CPU
-        with span("candidates_d2h"):
-            payload = len(ranked) * MESSAGE_BYTES + len(unresolved) * 8
-            try:
-                self.gpu.memory.store("knn.candidates", ranked, nbytes=payload)
-                self.gpu.from_device("knn.candidates")
-            finally:
-                # a faulting transfer must not leak the staging allocation
-                self.gpu.free("knn.candidates")
-
-        candidates = {obj: d for obj, d in ranked}
-        return candidates, unresolved, l_bound
-
-    def _gpu_candidates_batch(
+    def _device_candidates(
         self,
         jobs: list[
             tuple[int, NetworkLocation, int, set[int], dict[int, tuple[int, CleanedLocation]]]
         ],
         answers: list[KnnAnswer],
     ) -> list[tuple[dict[int, float], list[tuple[int, float]], float]]:
-        """Phase 2 for an epoch batch: one fused launch per kernel.
+        """Phase 2 on the device (lines 5-9): one fused launch per kernel.
 
-        Each job charges its work at its own thread count (via
+        ``GPU_SDist``, ``GPU_First_k`` and ``GPU_Unresolved`` each run
+        every job of the batch in a single launch.  Each job charges its work at its own thread count (via
         :class:`~repro.simgpu.kernel.JobContext`), so the modelled kernel
         time equals the sum of the per-query launches it replaces — the
         batch saves launch overheads and transfer latencies, never
@@ -602,7 +411,7 @@ class KnnProcessor:
         n_jobs = len(jobs)
         indices = [i for i, *_ in jobs]
 
-        with span("sdist_batch") as sp:
+        with span("sdist") as sp:
             before = stats.kernel_time_s
             sdist_jobs = []
             for _, location, _, cells, _ in jobs:
@@ -611,7 +420,7 @@ class KnnProcessor:
                     (slab, slab.vertex_list, entry_costs(self.graph, location))
                 )
             dists = self.gpu.launch_batched(
-                "GPU_SDist_Batch",
+                "GPU_SDist",
                 max(1, sum(len(elements) for elements, _, _ in sdist_jobs)),
                 n_jobs,
                 sdist_batch_kernel,
@@ -620,19 +429,20 @@ class KnnProcessor:
                 self.config.delta_v,
                 self.config.sdist_early_exit,
             )
-            share = (stats.kernel_time_s - before) / n_jobs
+            sim_s = stats.kernel_time_s - before
             for i in indices:
-                answers[i].gpu_phase_s["sdist"] = share
+                answers[i].gpu_phase_s["sdist"] = sim_s / n_jobs
             sp.set_attr("jobs", n_jobs)
             sp.set_attr("elements", sum(len(e) for e, _, _ in sdist_jobs))
+            sp.set_attr("sim_s", sim_s)
 
-        with span("first_k_batch") as sp:
+        with span("first_k") as sp:
             before = stats.kernel_time_s
             fk_jobs = []
             for (_, location, k, _, occupants), dist in zip(jobs, dists):
                 fk_jobs.append((self._score_occupants(location, dist, occupants), k))
             ranked_lists = self.gpu.launch_batched(
-                "GPU_First_k_Batch",
+                "GPU_First_k",
                 max(1, sum(len(od) for od, _ in fk_jobs)),
                 n_jobs,
                 first_k_batch_kernel,
@@ -644,7 +454,7 @@ class KnnProcessor:
             sp.set_attr("jobs", n_jobs)
             sp.set_attr("candidates", sum(len(od) for od, _ in fk_jobs))
 
-        with span("unresolved_batch") as sp:
+        with span("unresolved") as sp:
             before = stats.kernel_time_s
             bounds = []
             un_jobs = []
@@ -653,7 +463,7 @@ class KnnProcessor:
                 bounds.append(l_bound)
                 un_jobs.append((self.grid.boundary_vertices(cells), dist, l_bound))
             unresolved_lists = self.gpu.launch_batched(
-                "GPU_Unresolved_Batch",
+                "GPU_Unresolved",
                 max(1, sum(len(b) for b, _, _ in un_jobs)),
                 n_jobs,
                 unresolved_batch_kernel,
@@ -699,7 +509,7 @@ class KnnProcessor:
         Runs the *same* kernel functions — the vectorised SDist backend
         plus First-k and Unresolved — as plain host code through a
         :class:`~repro.simgpu.kernel.HostContext`.  Results are
-        bit-identical to :meth:`_gpu_candidates` (property-tested for
+        bit-identical to :meth:`_device_candidates` (property-tested for
         the SDist backends); no launches, transfers or allocations touch
         the simulated device, so a faulting GPU cannot interfere.
         """
@@ -731,6 +541,46 @@ class KnnProcessor:
 
         candidates = {obj: d for obj, d in ranked}
         return candidates, unresolved, l_bound
+
+    # ------------------------------------------------------------------
+    # phase 3
+    # ------------------------------------------------------------------
+    def _refine_answer(
+        self,
+        location: NetworkLocation,
+        k: int,
+        candidates: dict[int, float],
+        unresolved: list[tuple[int, float]],
+        l_bound: float,
+        answer: KnnAnswer,
+    ) -> KnnAnswer:
+        """Phase 3 (Algorithm 6) on one query's candidate set."""
+        if l_bound == _INF:
+            return self._fallback(location, k, answer)
+        answer.unresolved = len(unresolved)
+
+        if unresolved and self._refine_scratch is None:
+            self._refine_scratch = RefineScratch(self.graph, self.grid.cell_of_vertex)
+        with span("refine") as sp:
+            t0 = time.perf_counter()
+            results, settled = refine_knn(
+                self.graph,
+                self.object_table,
+                self.grid.cell_of_vertex,
+                candidates,
+                unresolved,
+                k,
+                l_bound,
+                scratch=self._refine_scratch,
+            )
+            answer.cpu_seconds["refine"] = time.perf_counter() - t0
+            answer.refine_settled = settled
+            sp.set_attr("unresolved", len(unresolved))
+            sp.set_attr("settled", settled)
+        answer.entries = [KnnResultEntry(o, d) for o, d in results]
+        if len(answer.entries) < k:
+            return self._fallback(location, k, answer)
+        return answer
 
     # ------------------------------------------------------------------
     # fallback

@@ -158,7 +158,9 @@ def unresolved_kernel(
 # own thread count, which makes the fused launch's simulated kernel time
 # exactly the sum of the per-query launches it replaces — batching saves
 # fixed overheads, never modelled work.  Results are job-ordered and
-# bit-identical to running each per-query kernel individually.
+# bit-identical to running each per-query kernel individually.  Every
+# kNN query on the device runs through these kernels; a lone query is a
+# batch of one.
 
 
 def sdist_batch_kernel(
@@ -168,7 +170,7 @@ def sdist_batch_kernel(
     delta_v: int,
     early_exit: bool = True,
 ) -> list[dict[int, float]]:
-    """``GPU_SDist_Batch``: per-query restricted distances, one launch.
+    """Fused ``GPU_SDist``: per-query restricted distances, one launch.
 
     Args:
         ctx: the fused launch's context.
@@ -191,7 +193,7 @@ def first_k_batch_kernel(
     ctx: KernelContext,
     jobs: list[tuple[dict[int, float], int]],
 ) -> list[list[tuple[int, float]]]:
-    """``GPU_First_k_Batch``: per-query candidate ranking, one launch.
+    """Fused ``GPU_First_k``: per-query candidate ranking, one launch.
 
     ``jobs`` holds one ``(object_distances, k)`` pair per query; returns
     each query's ranked candidates in the canonical result order.
@@ -206,7 +208,7 @@ def unresolved_batch_kernel(
     ctx: KernelContext,
     jobs: list[tuple[list[int], Mapping[int, float], float]],
 ) -> list[list[tuple[int, float]]]:
-    """``GPU_Unresolved_Batch``: per-query boundary checks, one launch.
+    """Fused ``GPU_Unresolved``: per-query boundary checks, one launch.
 
     ``jobs`` holds one ``(boundary_vertices, dist, l_bound)`` triple per
     query; returns each query's unresolved ``(vertex, distance)`` pairs.

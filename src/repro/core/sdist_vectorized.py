@@ -15,9 +15,13 @@ consumes its pre-flattened local-index arrays directly — no per-launch
 still works (the flattening happens here, as before), which keeps the
 kernel callable on hand-built subgraphs in tests.
 
-Selected via ``GGridConfig.sdist_backend = "vectorized"``; results are
-bit-identical to the lockstep backend (property-tested) and the charged
-GPU work is the same — only the *host* simulation gets faster.
+Selected via ``GGridConfig.sdist_backend = "vectorized"``; distances are
+bit-identical to the lockstep backend (property-tested).  The charged
+GPU work is identical only when every round runs (``early_exit=False``):
+the lockstep kernel relaxes in place, so a round can already see values
+written earlier in that round, while this kernel relaxes from the
+previous round's array.  With early exit on, the two can therefore stop
+after different round counts and charge different ``lane_ops``.
 """
 
 from __future__ import annotations
@@ -65,8 +69,9 @@ def sdist_kernel_vectorized(
 ) -> dict[int, float]:
     """Drop-in replacement for :func:`repro.core.sdist.sdist_kernel`.
 
-    Same signature, same results, same cost accounting; the relaxation
-    loop runs as numpy scatter operations instead of per-element Python.
+    Same signature and results; the relaxation loop runs as numpy
+    scatter operations instead of per-element Python, and charges
+    ``delta_v`` slot scans per thread per round it ran.
     ``elements`` may be a :class:`CellSlab`, in which case the flattened
     arrays come straight from the packed grid (``vertices`` must then be
     the slab's own vertex list, which the query processor guarantees).

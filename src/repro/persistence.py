@@ -49,20 +49,10 @@ from repro.roadnet.graph import RoadNetwork
 #: direct object-table restore instead of id-ordered re-ingest)
 SNAPSHOT_VERSION = 2
 
-#: GGridConfig fields persisted (the GPU cost model is environment, not state)
-_CONFIG_FIELDS = (
-    "delta_c",
-    "delta_v",
-    "delta_b",
-    "eta",
-    "rho",
-    "t_delta",
-    "cpu_workers",
-    "python_speedup",
-    "pipelined_transfers",
-    "sdist_early_exit",
-    "max_buckets_per_cell",
-    "seed",
+#: GGridConfig fields persisted: every one except the GPU cost model,
+#: which is environment, not state
+_CONFIG_FIELDS = tuple(
+    f.name for f in dataclasses.fields(GGridConfig) if f.name != "gpu"
 )
 
 
@@ -159,8 +149,3 @@ def load_index(path: str | Path) -> GGridIndex:
     except ReproError as exc:
         raise ReproError(f"{exc} (file: {path})") from exc
 
-
-def config_to_dict(config: GGridConfig) -> dict[str, object]:
-    """The persistable subset of a configuration (diagnostics helper)."""
-    full = dataclasses.asdict(config)
-    return {name: full[name] for name in _CONFIG_FIELDS}

@@ -34,24 +34,23 @@ RUNG_DIJKSTRA = "dijkstra"
 RUNGS: tuple[str, ...] = (RUNG_GPU, RUNG_GPU_RETRY, RUNG_CPU_SDIST, RUNG_DIJKSTRA)
 
 
-def tag_ladder_outcome(result, rung: str | None, retries: int, backoff_s: float):
-    """Stamp a ladder outcome onto an answer or a batch of answers.
+def tag_ladder_outcome(answers: list, rung: str | None, retries: int, backoff_s: float) -> list:
+    """Stamp a ladder outcome onto a batch of answers.
 
-    ``result`` is one answer or a list of them (any object carrying the
-    ``degraded_rung`` / ``retries`` / ``backoff_s`` diagnostic fields —
-    :class:`~repro.core.knn.KnnAnswer` in practice).  The rung lands on
+    ``answers`` holds objects carrying the ``degraded_rung`` /
+    ``retries`` / ``backoff_s`` diagnostic fields —
+    :class:`~repro.core.knn.KnnAnswer` in practice.  The rung lands on
     every answer; retry backoff is charged once — to the first answer —
     so a replay summing per-query backoff never double-counts it.
-    Returns ``result`` unchanged in shape.
+    Returns ``answers``.
     """
-    answers = result if isinstance(result, list) else [result]
     if rung is not None:
         for a in answers:
             a.degraded_rung = rung
     if answers:
         answers[0].retries = retries
         answers[0].backoff_s = backoff_s
-    return result
+    return answers
 
 
 @dataclass(frozen=True)

@@ -212,12 +212,12 @@ class SimGpu:
         fn: Callable[..., Any],
         *args: Any,
     ) -> Any:
-        """Run a fused batch kernel carrying ``jobs`` per-query jobs.
+        """Run a fused batch kernel carrying ``jobs`` (>= 1) per-query jobs.
 
         Identical to :meth:`launch` (one launch overhead, one fault-hook
         consultation) plus batch accounting: ``batched_launches`` and
         ``batched_jobs`` record how many per-query launches the fusion
-        replaced.  The kernel itself is responsible for charging each
+        replaced (a single-job launch replaces only itself).  The kernel itself is responsible for charging each
         job's work at that job's thread count (see
         :class:`~repro.simgpu.kernel.JobContext`).
 

@@ -18,9 +18,10 @@ class GpuStats:
 
     Attributes:
         kernel_launches: number of kernels launched.
-        batched_launches: launches that fused multiple per-query jobs
-            into one kernel (a subset of ``kernel_launches``).
-        batched_jobs: per-query jobs carried by those fused launches;
+        batched_launches: launches made by the batch engine (a subset
+            of ``kernel_launches``), including launches that carry a
+            single job — every kNN query runs as a member of a batch.
+        batched_jobs: per-query jobs carried by those launches;
             ``batched_jobs - batched_launches`` is the number of launch
             overheads the batch engine saved.
         lane_ops: total per-lane operations charged by kernels.

@@ -9,7 +9,8 @@ from repro.config import GGridConfig
 from repro.core.ggrid import GGridIndex
 from repro.core.messages import Message
 from repro.errors import ReproError, UnknownObjectError
-from repro.persistence import config_to_dict, load_index, save_index
+from repro.persistence import load_index, save_index
+from repro.roadnet import grid_road_network
 from repro.roadnet.location import NetworkLocation
 
 
@@ -57,10 +58,35 @@ def test_malformed_snapshot_rejected(tmp_path):
         load_index(path)
 
 
-def test_config_to_dict_subset():
-    d = config_to_dict(GGridConfig(delta_b=64))
-    assert d["delta_b"] == 64
-    assert "gpu" not in d  # the cost model is environment, not state
+def test_roundtrip_keeps_partitioner_and_backend(tmp_path):
+    """Regression: snapshots used to drop ``partitioner`` and
+    ``sdist_backend``, so a geometric index restored as a multilevel one
+    and filed every stored backlog under a cell that no longer held its
+    edge."""
+    graph = grid_road_network(20, 20, seed=3)
+    config = GGridConfig(delta_c=16, partitioner="geometric", sdist_backend="vectorized")
+    index = GGridIndex(graph, config)
+    rng = random.Random(5)
+    for t in (1.0, 2.0):
+        for obj in range(200):
+            e = rng.randrange(graph.num_edges)
+            index.ingest(Message(obj, e, rng.uniform(0, graph.edge(e).weight), t))
+
+    restored = load_index(save_index(index, tmp_path / "snap.json"))
+
+    assert restored.config == index.config
+    located = [
+        (cell, m)
+        for cell, mlist in restored.lists.items()
+        for m in mlist.messages()
+        if not m.is_removal  # a removal marker carries no edge
+    ]
+    assert located
+    for cell, m in located:
+        assert restored.grid.cell_of_edge(m.edge) == cell
+    q = NetworkLocation(0, 0.0)
+    want = [(e.obj, e.distance) for e in index.knn(q, 8, t_now=2.0).entries]
+    assert [(e.obj, e.distance) for e in restored.knn(q, 8, t_now=2.0).entries] == want
 
 
 def test_restore_preserves_chronology_with_reversed_ids(medium_graph, tmp_path):

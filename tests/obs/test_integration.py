@@ -7,16 +7,20 @@ GPU-visible overhead when observability is off.
 """
 
 import json
+import random
 
 import pytest
 
 from repro.config import GGridConfig
 from repro.core.ggrid import GGridIndex
+from repro.core.messages import Message
 from repro.mobility.workload import make_workload
-from repro.obs import Observability, write_chrome_trace
+from repro.obs import Observability, Tracer, write_chrome_trace
 from repro.obs.hub import default_observability
 from repro.server.server import QueryServer
 from repro.simgpu.trace import GpuTrace
+
+from tests.conftest import random_location
 
 pytestmark = pytest.mark.obs
 
@@ -120,3 +124,44 @@ def test_observability_off_adds_no_gpu_work(small_graph, workload):
     # with no bundle the server resolves no instruments at all
     server = QueryServer(plain_index)
     assert server.obs is None and server._inst is None
+
+
+def _traced_knn(graph, run):
+    """Load a fresh index, then trace ``run(index)`` on both clocks."""
+    rng = random.Random(3)
+    index = GGridIndex(graph, GGridConfig(eta=3, delta_b=8))
+    for obj in range(60):
+        loc = random_location(graph, rng)
+        index.ingest(Message(obj, loc.edge_id, loc.offset, 1.0))
+    tracer = Tracer()
+    with tracer.activate(), GpuTrace(index.gpu) as gpu_trace:
+        answers = run(index)
+    kernels = {e.name for e in gpu_trace.events if e.category == "kernel"}
+    return answers, tracer.spans, {n for n in kernels if n.startswith("GPU_")}
+
+
+def test_single_query_and_batch_share_one_trace_shape(medium_graph):
+    """A single query is a batch of one: both leave the same span names
+    and launch the same kernels, and the fused SDist span counts its
+    jobs."""
+    rng = random.Random(8)
+    queries = [(random_location(medium_graph, rng), 3) for _ in range(6)]
+
+    batch, batch_spans, batch_kernels = _traced_knn(
+        medium_graph, lambda index: index.knn_batch(queries)
+    )
+    single, single_spans, single_kernels = _traced_knn(
+        medium_graph, lambda index: [index.knn(*queries[0])]
+    )
+
+    phases = {
+        "select_candidates", "sdist", "first_k", "unresolved", "candidates_d2h", "refine",
+    }
+    assert phases <= {s.name for s in batch_spans}
+    assert phases <= {s.name for s in single_spans}
+    assert batch_kernels == single_kernels
+    assert {"GPU_SDist", "GPU_First_k", "GPU_Unresolved"} <= batch_kernels
+    for answers, spans in ((batch, batch_spans), (single, single_spans)):
+        [sdist] = [s for s in spans if s.name == "sdist"]
+        assert sdist.attrs["jobs"] == sum(1 for a in answers if not a.used_fallback)
+    assert sum(1 for a in batch if not a.used_fallback) > 1
