@@ -5,8 +5,8 @@ objects *outside* those cells that are actually nearer than the k-th
 candidate, and *shorter paths* that leave the candidate subgraph and come
 back.  Both are recovered from the unresolved vertices: for each boundary
 vertex ``v`` with restricted distance ``dist(q, v) < l``, a bounded
-Dijkstra with radius ``l - dist(q, v)`` explores v's unresolved range on
-the full graph and scores every object found there.  Each unresolved
+Dijkstra seeded at ``dist(q, v)`` with bound ``l`` explores v's
+unresolved range on the full graph and scores every object found there.  Each unresolved
 vertex is independent, so the paper runs them on parallel CPU threads;
 this implementation runs them sequentially and lets the metrics layer
 model the division across ``cpu_workers`` (see DESIGN.md §2).
@@ -97,11 +97,13 @@ def refine_knn(
             scratch = RefineScratch(graph, cell_of_vertex)
         search = scratch.search
     for u, d_qu in unresolved:
-        radius = l_bound - d_qu
-        if radius <= 0:
+        if d_qu >= l_bound:
             continue
         with span("refine_dijkstra") as sp:
-            settled = search.run(u, radius)
+            # seeded at dist(q, u): distances continue the restricted
+            # sum, so an object reached here scores bit-identically to
+            # the same path found inside the candidate cells
+            settled = search.run(u, l_bound, origin=d_qu)
             sp.set_attr("vertex", u)
             sp.set_attr("settled", len(settled))
         settled_total += len(settled)
@@ -116,8 +118,8 @@ def refine_knn(
             reached = search.is_settled(sources)
             if not reached.any():
                 continue
-            # same float64 chain as the scalar path: (d_qu + d_src) + offset
-            d_obj = d_qu + search.distances(sources) + cols.offsets
+            # same float64 chain as the scalar path: dist[src] + offset
+            d_obj = search.distances(sources) + cols.offsets
             for obj, d in zip(
                 cols.objs[reached].tolist(), d_obj[reached].tolist()
             ):

@@ -129,7 +129,7 @@ class BoundedSearch:
     this helper keeps a full-size ``float64`` distance array plus version
     stamps and reuses them across :meth:`run` calls — resetting is an
     integer bump, not an ``O(|V|)`` wipe.  Settled sets and distances are
-    identical to ``multi_source_dijkstra(graph, {source: 0.0},
+    identical to ``multi_source_dijkstra(graph, {source: origin},
     radius=radius)`` (regression-tested): the heap relaxation performs
     the same float64 additions in the same order.
     """
@@ -145,8 +145,19 @@ class BoundedSearch:
         self._settled = np.zeros(n, dtype=np.int64)
         self._round = 0
 
-    def run(self, source: int, radius: float, stats: SearchStats | None = None) -> np.ndarray:
-        """Settle every vertex within ``radius`` of ``source``.
+    def run(
+        self,
+        source: int,
+        radius: float,
+        stats: SearchStats | None = None,
+        origin: float = 0.0,
+    ) -> np.ndarray:
+        """Settle every vertex whose distance is at most ``radius``.
+
+        The search starts at ``source`` with distance ``origin``, so a
+        settled distance is the left-to-right float64 sum ``origin + w1 +
+        w2 + ...`` along its path — the same chain a search seeded
+        further upstream computes — and ``radius`` bounds that sum.
 
         Returns the settled vertex ids (int64 array, settling order).
         Their distances stay readable through :meth:`distances` /
@@ -156,8 +167,8 @@ class BoundedSearch:
         rnd = self._round
         dist, seen, settled = self._dist, self._seen, self._settled
         indptr, targets_arr, weights = self._indptr, self._targets, self._weights
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        dist[source] = 0.0
+        heap: list[tuple[float, int]] = [(origin, source)]
+        dist[source] = origin
         seen[source] = rnd
         out: list[int] = []
         while heap:

@@ -149,6 +149,21 @@ def test_shared_array_search_matches_dict_search(seed, radius):
     assert (got_stats.pops, got_stats.settled) == (ref_stats.pops, ref_stats.settled)
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6), st.floats(0.0, 3.0), st.floats(0.5, 5.0))
+def test_seeded_search_continues_the_upstream_sum(seed, origin, radius):
+    """A run from ``origin`` equals the dict search seeded at ``origin``:
+    distances are ``origin + w1 + w2 + ...`` left to right, bounded by
+    ``radius`` as a whole."""
+    g = grid_road_network(5, 5, seed=seed % 100)
+    source = seed % g.num_vertices
+    ref = multi_source_dijkstra(g, {source: origin}, radius=origin + radius)
+    search = BoundedSearch(g)
+    settled = search.run(source, origin + radius, origin=origin)
+    got = {int(v): float(d) for v, d in zip(settled, search.distances(settled))}
+    assert got == ref
+
+
 def test_shared_array_search_resets_between_runs(small_graph):
     """A second run must not see the first run's distances or stamps."""
     search = BoundedSearch(small_graph)
