@@ -155,11 +155,7 @@ class MessageCleaner:
 
         try:
             if use_gpu:
-                tagged_buckets = [
-                    [CellMessage.tag(m, cell) for m in bucket.messages]
-                    for cell, bucket in live_pairs
-                ]
-                latest = self._run_gpu_pipeline(tagged_buckets, result)
+                latest = self._run_gpu_pipeline(live_pairs, result)
             else:
                 latest = self._dedup_host(live_pairs, result)
         except Exception:
@@ -290,15 +286,20 @@ class MessageCleaner:
 
     def _run_gpu_pipeline(
         self,
-        tagged_buckets: list[list[CellMessage]],
+        live_pairs: list[tuple[int, Bucket]],
         result: CleaningResult,
     ) -> dict[int, CellMessage]:
-        """Steps 2-4 (GPU side): ship, X-shuffle and collect."""
-        if not tagged_buckets:
+        """Steps 2-4 (GPU side): ship, X-shuffle and collect.
+
+        Each chunk of ``(cell, bucket)`` pairs ships as its messages'
+        packed size; the kernel tags a message with its cell only when
+        the message wins a slot of ``T``.
+        """
+        if not live_pairs:
             return {}
         config = self.config
         bundle_size = config.bundle_size
-        num_bundles = -(-len(tagged_buckets) // bundle_size)
+        num_bundles = -(-len(live_pairs) // bundle_size)
 
         # -- step 2: prepare device memory for T --
         table = IntermediateTable(num_bundles)
@@ -307,11 +308,14 @@ class MessageCleaner:
         # -- step 3: pipelined transfer + parallel X-shuffle cleaning --
         chunk_size = _CHUNK_BUNDLES * bundle_size
         chunks = [
-            tagged_buckets[i : i + chunk_size]
-            for i in range(0, len(tagged_buckets), chunk_size)
+            live_pairs[i : i + chunk_size]
+            for i in range(0, len(live_pairs), chunk_size)
         ]
 
-        def process(chunk_index: int, chunk: list[list[CellMessage]]) -> int:
+        def chunk_nbytes(chunk: list[tuple[int, Bucket]]) -> int:
+            return sum(bucket.n for _, bucket in chunk) * MESSAGE_BYTES
+
+        def process(chunk_index: int, chunk: list[tuple[int, Bucket]]) -> int:
             first_bundle = chunk_index * _CHUNK_BUNDLES
             return self.gpu.launch(
                 "GPU_X_Shuffle",
@@ -325,7 +329,9 @@ class MessageCleaner:
             )
 
         with span("xshuffle_dedup") as sp:
-            processed = self._stream.run(chunks, process, name="clean.buckets")
+            processed = self._stream.run(
+                chunks, process, name="clean.buckets", chunk_nbytes=chunk_nbytes
+            )
             result.messages_processed += sum(processed)
             sp.set_attr("chunks", len(chunks))
             sp.set_attr("messages", sum(processed))

@@ -39,6 +39,7 @@ from repro.simgpu.trace import GpuTrace
 
 _TRACE_ID_BITS = 128
 _SPAN_ID_BITS = 64
+_LOWER_HEX = frozenset("0123456789abcdef")
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,12 +92,13 @@ class TraceContext:
             raise ConfigError(f"unsupported trace context version {version!r}")
         if len(trace_hex) != 32 or len(span_hex) != 16 or len(flags) != 2:
             raise ConfigError(f"malformed trace context {header!r}")
-        try:
-            trace_id = int(trace_hex, 16)
-            span_id = int(span_hex, 16)
-            flag_bits = int(flags, 16)
-        except ValueError:
-            raise ConfigError(f"non-hex trace context {header!r}") from None
+        # exactly the lowercase digits encode() emits: int(x, 16) alone
+        # would also take a sign, underscores, whitespace and uppercase
+        if not all(_LOWER_HEX.issuperset(f) for f in (trace_hex, span_hex, flags)):
+            raise ConfigError(f"non-hex trace context {header!r}")
+        trace_id = int(trace_hex, 16)
+        span_id = int(span_hex, 16)
+        flag_bits = int(flags, 16)
         if trace_id == 0 or span_id == 0:
             raise ConfigError(f"all-zero id in trace context {header!r}")
         return cls(trace_id, span_id, sampled=bool(flag_bits & 1))

@@ -16,18 +16,47 @@ from __future__ import annotations
 
 import gzip
 import io
+import zlib
 from pathlib import Path
-from typing import IO
+from typing import IO, Callable, Iterator, TypeVar
 
-from repro.errors import GraphFormatError
+from repro.errors import GraphError, GraphFormatError
 from repro.roadnet.graph import RoadNetwork
+
+_Num = TypeVar("_Num", int, float)
 
 
 def _open_text(path: str | Path, mode: str) -> IO[str]:
     path = Path(path)
     if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, mode + "b"))  # type: ignore[arg-type]
+        raw = gzip.open(path, mode + "b")
+        return io.TextIOWrapper(raw, encoding="ascii")  # type: ignore[arg-type]
     return open(path, mode, encoding="ascii")
+
+
+def _records(path: str | Path, fh: IO[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, fields)`` of every non-blank, non-comment line.
+
+    Bytes that do not decode — non-ASCII text, a file that is not gzip,
+    a truncated or corrupt ``.gz`` — raise :class:`GraphFormatError`
+    naming the last line read whole (decoding runs in blocks, so the
+    bad line itself is not known).
+    """
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("c"):
+                yield lineno, line.split()
+    except (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise GraphFormatError(f"{path}: unreadable after line {lineno}: {exc}") from None
+
+
+def _number(path: str | Path, lineno: int, text: str, kind: Callable[[str], _Num]) -> _Num:
+    try:
+        return kind(text)
+    except ValueError:
+        raise GraphFormatError(f"{path}:{lineno}: not a number: {text!r}") from None
 
 
 def read_gr(path: str | Path) -> RoadNetwork:
@@ -35,23 +64,22 @@ def read_gr(path: str | Path) -> RoadNetwork:
 
     Raises:
         GraphFormatError: missing/duplicate header, malformed arc lines,
-            vertex ids outside ``[1, n]``, or arc count mismatch.
+            non-numeric fields, negative or non-finite weights, vertex
+            ids outside ``[1, n]``, arc count mismatch, or bytes that do
+            not decode.
     """
     graph: RoadNetwork | None = None
     declared_arcs = 0
     seen_arcs = 0
     with _open_text(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            fields = line.split()
+        for lineno, fields in _records(path, fh):
             if fields[0] == "p":
                 if graph is not None:
                     raise GraphFormatError(f"{path}:{lineno}: duplicate problem line")
                 if len(fields) != 4 or fields[1] != "sp":
                     raise GraphFormatError(f"{path}:{lineno}: expected 'p sp <n> <m>'")
-                n, declared_arcs = int(fields[2]), int(fields[3])
+                n = _number(path, lineno, fields[2], int)
+                declared_arcs = _number(path, lineno, fields[3], int)
                 graph = RoadNetwork()
                 graph.add_vertices(n)
             elif fields[0] == "a":
@@ -59,10 +87,15 @@ def read_gr(path: str | Path) -> RoadNetwork:
                     raise GraphFormatError(f"{path}:{lineno}: arc before problem line")
                 if len(fields) != 4:
                     raise GraphFormatError(f"{path}:{lineno}: expected 'a <u> <v> <w>'")
-                u, v, w = int(fields[1]), int(fields[2]), float(fields[3])
+                u = _number(path, lineno, fields[1], int)
+                v = _number(path, lineno, fields[2], int)
+                w = _number(path, lineno, fields[3], float)
                 if not (1 <= u <= graph.num_vertices and 1 <= v <= graph.num_vertices):
                     raise GraphFormatError(f"{path}:{lineno}: vertex id out of range")
-                graph.add_edge(u - 1, v - 1, w)
+                try:
+                    graph.add_edge(u - 1, v - 1, w)
+                except GraphError as exc:
+                    raise GraphFormatError(f"{path}:{lineno}: {exc}") from None
                 seen_arcs += 1
             else:
                 raise GraphFormatError(f"{path}:{lineno}: unknown record '{fields[0]}'")
@@ -80,17 +113,21 @@ def read_co(path: str | Path, graph: RoadNetwork) -> None:
 
     The graph must already have the vertices; coordinates are attached by
     rebuilding the vertex records (vertices are immutable dataclasses).
+
+    Raises:
+        GraphFormatError: malformed or non-numeric ``v`` lines, unknown
+            vertex ids, or bytes that do not decode.
     """
     coords: dict[int, tuple[float, float]] = {}
     with _open_text(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("c") or line.startswith("p"):
+        for lineno, fields in _records(path, fh):
+            if fields[0].startswith("p"):
                 continue
-            fields = line.split()
             if fields[0] != "v" or len(fields) != 4:
                 raise GraphFormatError(f"{path}:{lineno}: expected 'v <id> <x> <y>'")
-            coords[int(fields[1]) - 1] = (float(fields[2]), float(fields[3]))
+            vid = _number(path, lineno, fields[1], int)
+            x = _number(path, lineno, fields[2], float)
+            coords[vid - 1] = (x, _number(path, lineno, fields[3], float))
     from repro.roadnet.graph import Vertex  # local import to avoid cycle noise
 
     for vid, (x, y) in coords.items():

@@ -13,6 +13,7 @@ shortest-path computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -51,6 +52,8 @@ class Edge:
     weight: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.weight):
+            raise GraphError(f"edge {self.id} has non-finite weight {self.weight}")
         if self.weight < 0:
             raise GraphError(f"edge {self.id} has negative weight {self.weight}")
 
@@ -109,8 +112,8 @@ class RoadNetwork:
 
         Raises:
             GraphError: if an endpoint does not exist, the weight is
-                negative, or the edge is a self-loop (road networks have
-                no zero-length loops).
+                negative or not finite, or the edge is a self-loop
+                (road networks have no zero-length loops).
         """
         self._check_vertex(source)
         self._check_vertex(dest)

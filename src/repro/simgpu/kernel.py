@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence, TypeVar
 
+import numpy as np
+
 from repro.simgpu import warp as warp_mod
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -80,6 +82,26 @@ class KernelContext:
         self.elapsed_s += cm.op_time(n, 1) * (cm.shuffle_op_time_s / cm.lane_op_time_s)
         if bundle_size > cm.warp_size:
             self.sync_threads()
+
+    def charge_shuffles(self, bundle_size: int, count: int) -> None:
+        """Charge ``count`` consecutive :meth:`charge_shuffle` steps.
+
+        Within a warp the steps are summed by one sequential
+        ``np.add.accumulate``, which rounds exactly like ``count``
+        separate ``+=``, so the simulated time is bit-identical.  Past a
+        warp every shuffle interleaves a ``sync_threads``, so those
+        steps are charged one at a time.
+        """
+        cm = self.device.cost_model
+        if bundle_size > cm.warp_size:
+            for _ in range(count):
+                self.charge_shuffle(bundle_size)
+            return
+        step = cm.op_time(self.n_threads, 1) * (cm.shuffle_op_time_s / cm.lane_op_time_s)
+        self.shuffle_ops += count * self.n_threads
+        steps = np.full(count + 1, step)
+        steps[0] = self.elapsed_s
+        self.elapsed_s = float(np.add.accumulate(steps)[-1])
 
     def shuffle_xor(self, values: Sequence[T], lane_mask: int) -> list[T]:
         """Butterfly-shuffle one register across a bundle of lanes,

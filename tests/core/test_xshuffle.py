@@ -10,23 +10,46 @@ The two guarantees the paper proves, tested empirically:
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import CellMessage
+from repro.core.message_list import Bucket
+from repro.core.messages import CellMessage, Message
 from repro.core.mu import mu
 from repro.core.xshuffle import (
     IntermediateTable,
-    _clean_bundle,
     collect_kernel,
     shuffle_round,
     x_shuffle_kernel,
 )
+from repro.errors import KernelError
 from repro.simgpu.device import SimGpu
 
 
 def _msg(obj: int, t: float, cell: int = 0) -> CellMessage:
     return CellMessage(obj, cell, edge=0, offset=0.0, t=t)
+
+
+def _pairs(buckets):
+    """Lists of cell-tagged messages -> the kernel's ``(cell, Bucket)``
+    input (each list holds one cell's messages)."""
+    pairs = []
+    for bucket in buckets:
+        cells = {m.cell for m in bucket}
+        assert len(cells) <= 1
+        messages = [Message(m.obj, m.edge, m.offset, m.t) for m in bucket]
+        pairs.append((cells.pop() if cells else 0, Bucket(max(1, len(bucket)), messages)))
+    return pairs
+
+
+def _clean_bundle(bundle, eta, mu_eta, table, bundle_id, rng):
+    """Run one bundle through the kernel as bundle ``bundle_id`` of T."""
+    assert len(bundle) == 1 << eta and mu_eta == mu(eta)
+    SimGpu().launch(
+        "xshuffle", len(bundle), x_shuffle_kernel, _pairs(bundle), eta, table,
+        bundle_id, rng,
+    )
 
 
 def _run_kernel(buckets, eta, seed=0):
@@ -38,7 +61,7 @@ def _run_kernel(buckets, eta, seed=0):
         "xshuffle",
         max(1, len(buckets)),
         x_shuffle_kernel,
-        buckets,
+        _pairs(buckets),
         eta,
         table,
         0,
@@ -142,6 +165,16 @@ def test_racy_writes_converge(seed):
     table = IntermediateTable(1)
     _clean_bundle(bundle, eta, mu(eta), table, 0, rng)
     assert table.slot(0, 0).t == float(bundle_size - 1)
+
+
+def test_overlapping_bundle_ranges_rejected():
+    """Each launch owns its bundles' slots of T; a second launch over
+    the same bundle range must not silently overwrite them."""
+    bundle = [[_msg(1, 1.0)], [_msg(2, 2.0)]]
+    table = IntermediateTable(1)
+    _clean_bundle(bundle, 1, mu(1), table, 0, random.Random(0))
+    with pytest.raises(KernelError, match="already written"):
+        _clean_bundle(bundle, 1, mu(1), table, 0, random.Random(0))
 
 
 def test_intermediate_table_slots():

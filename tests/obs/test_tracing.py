@@ -226,6 +226,22 @@ class TestTraceContext:
         with pytest.raises(ConfigError):
             TraceContext.decode(header)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "00-+" + "0" * 30 + "1-" + "0" * 15 + "1-01",  # signed trace id
+            "00-0_" + "0" * 29 + "1-" + "0" * 15 + "1-01",  # underscore
+            "00- " + "0" * 30 + "1-" + "0" * 15 + "1-01",  # leading space
+            "00-" + "0" * 31 + "1-" + "0" * 14 + "1 -01",  # trailing space
+            "00-" + "0" * 31 + "1-" + "0" * 15 + "1-+1",  # signed flags
+            "00-" + "0" * 31 + "A-" + "0" * 15 + "1-01",  # uppercase
+        ],
+    )
+    def test_int_parser_leniency_rejected(self, header):
+        """Fields int(x, 16) would accept but encode() never emits."""
+        with pytest.raises(ConfigError, match="non-hex"):
+            TraceContext.decode(header)
+
 
 class TestTraceIdentity:
     def test_each_root_starts_a_new_trace(self):

@@ -102,3 +102,62 @@ def test_coordinate_for_unknown_vertex(tmp_path, line_graph):
     path.write_text("v 99 1.0 2.0\n")
     with pytest.raises(GraphFormatError):
         read_co(path, line_graph)
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ("p sp 2 x\na 1 2 5\n", ":1:"),  # non-numeric header
+        ("p sp 2 1\na 1 y 5\n", ":2:"),  # non-numeric vertex id
+        ("p sp 2 1\na 1 2 w\n", ":2:"),  # non-numeric weight
+        ("p sp 2 1\na 1 2 nan\n", ":2:"),  # NaN weight
+        ("p sp 2 1\na 1 2 inf\n", ":2:"),  # infinite weight
+        ("p sp 2 1\na 1 2 -5\n", ":2:"),  # negative weight
+    ],
+)
+def test_bad_arc_fields_are_format_errors(tmp_path, text, where):
+    path = tmp_path / "bad.gr"
+    path.write_text(text)
+    with pytest.raises(GraphFormatError, match=where):
+        read_gr(path)
+
+
+def test_non_numeric_coordinate_line(tmp_path, line_graph):
+    path = tmp_path / "bad.co"
+    path.write_text("p aux sp co 2\nv x 1 2\n")
+    with pytest.raises(GraphFormatError, match=":2:"):
+        read_co(path, line_graph)
+    path.write_text("v 1 1 y\n")
+    with pytest.raises(GraphFormatError, match=":1:"):
+        read_co(path, line_graph)
+
+
+def test_non_ascii_byte_is_a_format_error(tmp_path, line_graph):
+    path = tmp_path / "bad.gr"
+    path.write_bytes(b"p sp 2 1\nc caf\xe9\na 1 2 5\n")
+    with pytest.raises(GraphFormatError):
+        read_gr(path)
+    co = tmp_path / "bad.co"
+    co.write_bytes(b"v 1 1.0 2.0\xff\n")
+    with pytest.raises(GraphFormatError):
+        read_co(co, line_graph)
+
+
+def test_truncated_gzip_is_a_format_error(tmp_path, small_graph):
+    path = tmp_path / "g.gr.gz"
+    write_gr(small_graph, path)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    with pytest.raises(GraphFormatError):
+        read_gr(path)
+
+
+def test_not_gzip_is_a_format_error(tmp_path, line_graph):
+    path = tmp_path / "g.gr.gz"
+    path.write_text("p sp 2 1\na 1 2 5\n")
+    with pytest.raises(GraphFormatError):
+        read_gr(path)
+    co = tmp_path / "g.co.gz"
+    co.write_text("v 1 1.0 2.0\n")
+    with pytest.raises(GraphFormatError):
+        read_co(co, line_graph)

@@ -53,6 +53,17 @@ def test_negative_weight_rejected():
         g.add_edge(0, 1, -0.5)
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weight_rejected(weight):
+    """A NaN or infinite weight makes every path through the edge
+    undefined; the graph refuses it like a negative one."""
+    g = RoadNetwork()
+    g.add_vertices(2)
+    with pytest.raises(GraphError, match="non-finite"):
+        g.add_edge(0, 1, weight)
+    assert g.num_edges == 0
+
+
 def test_bidirectional_edge_creates_both_directions():
     g = RoadNetwork()
     g.add_vertices(2)
