@@ -34,6 +34,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
 
@@ -55,6 +56,37 @@ OP_REMOVE = "remove"
 
 _SEGMENT_GLOB = "wal-*.seg"
 
+_INF = float("inf")
+
+
+def _json_scalar(value: object) -> str:
+    """``value`` written exactly as ``json.dumps`` writes a scalar.
+
+    ``None``, booleans, ints and floats — with ``NaN`` and ``Infinity``
+    for non-finite floats, and ``float.__repr__`` (shortest round-trip
+    digits) otherwise.  Anything else raises ``TypeError``, as
+    ``json.dumps`` does.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
+
 
 @dataclass(frozen=True, slots=True)
 class WalRecord:
@@ -74,17 +106,14 @@ class WalRecord:
         return Message(self.obj, self.edge, self.offset, self.t)
 
     def encode(self) -> bytes:
-        payload = json.dumps(
-            {
-                "lsn": self.lsn,
-                "op": self.op,
-                "obj": self.obj,
-                "edge": self.edge,
-                "offset": self.offset,
-                "t": self.t,
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
+        # byte-identical to json.dumps(..., separators=(",", ":")), which
+        # json.loads decodes, without building a dict and an encoder per
+        # record; ``op`` goes through json's own ASCII string escaper
+        payload = (
+            f'{{"lsn":{_json_scalar(self.lsn)},"op":{encode_basestring_ascii(self.op)},'
+            f'"obj":{_json_scalar(self.obj)},"edge":{_json_scalar(self.edge)},'
+            f'"offset":{_json_scalar(self.offset)},"t":{_json_scalar(self.t)}}}'
+        ).encode("ascii")
         return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
     @staticmethod

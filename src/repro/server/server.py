@@ -290,7 +290,7 @@ class QueryServer:
     def update(self, message: Message, report: ReplayReport) -> None:
         """Ingest one update, charging its cost to the report."""
         gpu = self._gpu
-        before = gpu.stats.snapshot() if gpu else None
+        before = gpu.stats.mark() if gpu else None
         touches_before = getattr(self.index, "update_touches", 0)
         bp_before = getattr(self.index, "backpressure_cleanings", 0)
         backoff_before = getattr(self.index, "resilience_backoff_s", 0.0)
@@ -325,8 +325,8 @@ class QueryServer:
         report.updates_backpressured += backpressured
         report.update_backoff_s += backoff_s
         gpu_s = 0.0
-        if gpu and before is not None:
-            gpu_s = gpu.stats.diff(before).gpu_time_s
+        if before is not None:
+            gpu_s = gpu.stats.since(before)[0]
             report.update_gpu_s += gpu_s
         report.n_updates += 1
         inst = self._inst
@@ -418,7 +418,7 @@ class QueryServer:
     ) -> KnnAnswer:
         """Execute one query on a specific backend with full accounting."""
         gpu = getattr(index, "gpu", None)
-        before = gpu.stats.snapshot() if gpu else None
+        before = gpu.stats.mark() if gpu else None
         tracer = self.obs.tracer if self.obs is not None else None
         trace_id: str | None = None
         t0 = time.perf_counter()
@@ -435,10 +435,8 @@ class QueryServer:
         wall = time.perf_counter() - t0
         gpu_s = 0.0
         transfer = 0
-        if gpu and before is not None:
-            delta = gpu.stats.diff(before)
-            gpu_s = delta.gpu_time_s
-            transfer = delta.total_bytes
+        if before is not None:
+            gpu_s, transfer = gpu.stats.since(before)
         self._record_answer(
             answer, wall, gpu_s, transfer, report, t=q.t, trace_id=trace_id
         )
@@ -520,7 +518,7 @@ class QueryServer:
             return [self.query(q, report, trace_parent) for q in queries]
 
         gpu = self._gpu
-        before = gpu.stats.snapshot() if gpu else None
+        before = gpu.stats.mark() if gpu else None
         t_epoch = max(q.t for q in queries)
         exec_stats = BatchExecStats()
         batch_queries = [(q.location, q.k) for q in queries]
@@ -543,10 +541,10 @@ class QueryServer:
 
         gpu_share = 0.0
         transfer_share = transfer_rem = 0
-        if gpu and before is not None:
-            delta = gpu.stats.diff(before)
-            gpu_share = delta.gpu_time_s / n
-            transfer_share, transfer_rem = divmod(delta.total_bytes, n)
+        if before is not None:
+            gpu_s, transfer = gpu.stats.since(before)
+            gpu_share = gpu_s / n
+            transfer_share, transfer_rem = divmod(transfer, n)
         report.batch_cells_deduped += exec_stats.cells_deduped
         if inst is not None:
             inst.batch_cells_cleaned.inc(exec_stats.cells_cleaned)

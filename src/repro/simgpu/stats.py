@@ -11,6 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+#: what :meth:`GpuStats.mark` returns: kernel, transfer and pipelined-
+#: saved seconds, then host-to-device and device-to-host bytes
+StatsMark = tuple[float, float, float, int, int]
+
 
 @dataclass
 class GpuStats:
@@ -56,26 +60,58 @@ class GpuStats:
 
     def reset(self) -> None:
         """Zero every counter in place."""
-        for f in fields(self):
-            setattr(self, f.name, type(getattr(self, f.name))())
+        for name in _FIELD_NAMES:
+            setattr(self, name, type(getattr(self, name))())
 
     def snapshot(self) -> "GpuStats":
         """An independent copy of the current counters."""
-        return GpuStats(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return GpuStats(**{name: getattr(self, name) for name in _FIELD_NAMES})
 
     def diff(self, earlier: "GpuStats") -> "GpuStats":
         """Counters accumulated since ``earlier`` (a prior snapshot)."""
         return GpuStats(
             **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
+                name: getattr(self, name) - getattr(earlier, name)
+                for name in _FIELD_NAMES
             }
         )
 
     def merge(self, other: "GpuStats") -> None:
         """Add ``other``'s counters into this block."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _FIELD_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+    def mark(self) -> StatsMark:
+        """The five counters behind :attr:`gpu_time_s` and
+        :attr:`total_bytes`, for a later :meth:`since`.
+
+        Five attribute reads into a plain tuple, where :meth:`snapshot`
+        builds a fourteen-field copy: the serving path takes one around
+        every update and query.
+        """
+        return (
+            self.kernel_time_s,
+            self.transfer_time_s,
+            self.pipelined_saved_s,
+            self.bytes_h2d,
+            self.bytes_d2h,
+        )
+
+    def since(self, mark: StatsMark) -> tuple[float, int]:
+        """``(gpu_time_s, total_bytes)`` accumulated since ``mark``.
+
+        Bit-identical to ``self.diff(snapshot).gpu_time_s`` and
+        ``.total_bytes`` for a snapshot taken at the mark: each counter
+        is subtracted first, then combined in the same order.
+        """
+        kernel0, transfer0, saved0, h2d, d2h = mark
+        kernel = self.kernel_time_s - kernel0
+        transfer = self.transfer_time_s - transfer0
+        saved = self.pipelined_saved_s - saved0
+        return (
+            kernel + transfer - saved,
+            (self.bytes_h2d - h2d) + (self.bytes_d2h - d2h),
+        )
 
     @property
     def total_bytes(self) -> int:
@@ -87,4 +123,9 @@ class GpuStats:
         return self.kernel_time_s + self.transfer_time_s - self.pipelined_saved_s
 
     def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
+
+
+#: every counter's name, in declaration order (``fields()`` is slow to
+#: call per operation)
+_FIELD_NAMES: tuple[str, ...] = tuple(f.name for f in fields(GpuStats))

@@ -1,6 +1,12 @@
 """Unit tests for the CRC-framed, segment-rotating write-ahead log."""
 
+import json
+import struct
+import zlib
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.messages import Message
 from repro.errors import PersistenceError
@@ -177,3 +183,62 @@ def test_metrics_published(tmp_path):
     assert families["repro_wal_bytes_total"].default().value == wal.bytes_appended
     assert families["repro_wal_fsyncs_total"].default().value >= 3
     assert families["repro_wal_segments_total"].default().value >= 1
+
+
+def _json_dumps_frame(record: WalRecord) -> bytes:
+    """Reference encoder: the frame built through ``json.dumps``."""
+    payload = json.dumps(
+        {
+            "lsn": record.lsn,
+            "op": record.op,
+            "obj": record.obj,
+            "edge": record.edge,
+            "offset": record.offset,
+            "t": record.t,
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+_field = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(
+        [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, float("nan"), float("inf"), float("-inf")]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lsn=_field,
+    op=st.one_of(st.sampled_from(["ingest", "remove"]), st.text(max_size=8)),
+    obj=_field,
+    edge=_field,
+    offset=_field,
+    t=_field,
+)
+@example(lsn=1, op="ingest", obj=0, edge=None, offset=None, t=-0.0)
+@example(lsn=2, op="remove", obj=-3, edge=7, offset=float("nan"), t=float("-inf"))
+def test_encode_matches_json_dumps_byte_for_byte(lsn, op, obj, edge, offset, t):
+    record = WalRecord(lsn, op, obj, edge, offset, t)
+    assert record.encode() == _json_dumps_frame(record)
+
+
+def test_encode_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        WalRecord(1, "ingest", 0, 1, object(), 0.0).encode()
+
+
+def test_encoded_frames_decode_to_the_same_record(tmp_path):
+    with WriteAheadLog(tmp_path) as wal:
+        wal.append_ingest(Message(5, 3, 5e-324, -0.0))
+        wal.append_ingest(Message(6, 4, 1e16, float("inf")))
+        wal.append_remove(5, 2.5)
+    got = [(r.obj, r.edge, r.offset, r.t) for r in iter_wal(tmp_path)]
+    assert got[1] == (6, 4, 1e16, float("inf"))
+    assert got[2] == (5, None, None, 2.5)
+    assert got[0][2] == 5e-324 and str(got[0][3]) == "-0.0"

@@ -1,6 +1,8 @@
 """Unit tests for GPU statistics accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simgpu.stats import GpuStats
 
@@ -47,3 +49,35 @@ def test_total_bytes_and_gpu_time():
 def test_as_dict_has_all_fields():
     d = GpuStats().as_dict()
     assert "lane_ops" in d and "transfer_time_s" in d and len(d) >= 10
+
+
+# finite and far enough from overflow that no difference is inf - inf
+_counters = st.builds(
+    GpuStats,
+    **{
+        name: st.floats(-1e300, 1e300)
+        if name.endswith("_s")
+        else st.integers()
+        for name in GpuStats().as_dict()
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stats=_counters, later=_counters)
+def test_since_mark_is_bit_identical_to_diff(stats, later):
+    mark, snap = stats.mark(), stats.snapshot()
+    for name, value in later.as_dict().items():
+        setattr(stats, name, value)
+    delta = stats.diff(snap)
+    assert stats.since(mark) == (delta.gpu_time_s, delta.total_bytes)
+
+
+def test_mark_reads_only_what_since_needs():
+    s = GpuStats(kernel_launches=3, lane_ops=9, bytes_h2d=4)
+    mark = s.mark()
+    s.kernel_launches, s.lane_ops = 30, 90
+    assert s.since(mark) == (0.0, 0)
+    s.bytes_d2h += 6
+    s.kernel_time_s, s.pipelined_saved_s = 0.5, 0.25
+    assert s.since(mark) == (0.25, 6)
