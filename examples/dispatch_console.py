@@ -22,7 +22,7 @@ from pathlib import Path
 from repro import GGridIndex, NetworkLocation
 from repro.core.diagnostics import snapshot
 from repro.mobility import MotoGenerator, random_locations
-from repro.persistence import load_index, save_index
+from repro.persist import load_index, save_index
 from repro.server.maintenance import BacklogCleaning
 
 FLEET = 150
@@ -75,9 +75,11 @@ def main() -> None:
     path = Path(tempfile.mkdtemp()) / "dispatch.json"
     save_index(index, path)
     restored = load_index(path)
-    before = index.knn(depot, 3, t_now=DURATION).distances()
-    after = restored.knn(depot, 3, t_now=DURATION).distances()
-    same = [round(x, 9) for x in before] == [round(x, 9) for x in after]
+    before = index.knn(depot, 3, t_now=DURATION).entries
+    after = restored.knn(depot, 3, t_now=DURATION).entries
+    same = [(e.obj, e.distance) for e in before] == [
+        (e.obj, e.distance) for e in after
+    ]
     print(f"\nsnapshot -> restart: answers identical: {same} "
           f"({path.stat().st_size / 1024:.1f} KiB snapshot)")
 

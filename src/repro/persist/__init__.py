@@ -6,6 +6,8 @@ The serving-path contract:
   segment-rotating :class:`WriteAheadLog` before it is applied;
 * a :class:`SnapshotPolicy` periodically cuts CRC-wrapped compacted
   snapshots (:class:`SnapshotStore`) carrying a WAL watermark;
+  :func:`save_index` / :func:`load_index` read and write the same
+  envelope as a single file;
 * after a crash, :func:`recover` loads the newest valid snapshot that
   the surviving log supports and replays the WAL records past its
   watermark, tolerating a torn tail.
@@ -17,7 +19,15 @@ of updates — the conformance suite in ``tests/persist`` enforces this.
 
 from repro.persist.manager import DurabilityManager, SnapshotPolicy
 from repro.persist.recovery import RecoveryReport, recover
-from repro.persist.snapshot import LoadedSnapshot, SnapshotStore
+from repro.persist.snapshot import (
+    SNAPSHOT_VERSION,
+    LoadedSnapshot,
+    SnapshotStore,
+    index_from_state,
+    index_state,
+    load_index,
+    save_index,
+)
 from repro.persist.wal import (
     WalAppend,
     WalReadResult,
@@ -32,8 +42,13 @@ __all__ = [
     "SnapshotPolicy",
     "RecoveryReport",
     "recover",
+    "SNAPSHOT_VERSION",
     "LoadedSnapshot",
     "SnapshotStore",
+    "index_from_state",
+    "index_state",
+    "load_index",
+    "save_index",
     "WalAppend",
     "WalReadResult",
     "WalRecord",

@@ -30,8 +30,7 @@ from repro.core.ggrid import GGridIndex
 from repro.errors import PersistenceError, ReproError
 from repro.obs.hub import Observability, default_observability
 from repro.obs.metrics import log_scale_buckets
-from repro.persistence import index_from_state
-from repro.persist.snapshot import SnapshotStore
+from repro.persist.snapshot import SnapshotStore, index_from_state
 from repro.persist.wal import OP_INGEST, OP_REMOVE, read_wal
 from repro.roadnet.graph import RoadNetwork
 

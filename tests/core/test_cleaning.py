@@ -191,23 +191,30 @@ def test_gpu_transfer_accounted(medium_graph):
 
 
 # ----------------------------------------------------------------------
-# host dedup: scalar loop vs columnar lexsort equivalence
+# host dedup against a brute-force spec
 # ----------------------------------------------------------------------
-def _dedup_both(live_pairs):
-    """Run _dedup_host through both code paths on the same input."""
-    import pytest
-
-    import repro.core.cleaning as cleaning_mod
+def _dedup_host(live_pairs):
     from repro.core.cleaning import CleaningResult, MessageCleaner
     from repro.simgpu.device import SimGpu
 
     cleaner = MessageCleaner(SimGpu(), GGridConfig())
-    out = []
-    for scalar_max in (10**9, 0):  # force scalar, then force columnar
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cleaning_mod, "_HOST_DEDUP_SCALAR_MAX", scalar_max)
-            out.append(cleaner._dedup_host(list(live_pairs), CleaningResult()))
-    return out
+    return cleaner._dedup_host(list(live_pairs), CleaningResult())
+
+
+def _dedup_spec(live_pairs):
+    """Per object, the first message carrying the maximal ``(t, flag)``
+    key (removal markers lose timestamp ties); objects listed by first
+    occurrence."""
+    from repro.core.messages import CellMessage
+
+    flat = [(cell, m) for cell, bucket in live_pairs for m in bucket.messages]
+    spec = {}
+    for obj in dict.fromkeys(m.obj for _, m in flat):
+        mine = [(cell, m) for cell, m in flat if m.obj == obj]
+        best = max(m.sort_key for _, m in mine)
+        cell, m = next((cell, m) for cell, m in mine if m.sort_key == best)
+        spec[obj] = CellMessage.tag(m, cell)
+    return spec
 
 
 def _bucketize(messages, cells, capacity=4):
@@ -221,10 +228,10 @@ def _bucketize(messages, cells, capacity=4):
     return pairs
 
 
-def test_host_dedup_columnar_matches_scalar_adversarial():
-    """Timestamp ties, removal markers and cross-bucket repeats must pick
-    the same winner (first message carrying the max (t, flag) key) and
-    produce the same dict insertion order on both paths."""
+def test_host_dedup_matches_spec_adversarial():
+    """Timestamp ties, removal markers and cross-bucket repeats: the
+    first message carrying the max (t, flag) key wins, and the result
+    lists objects by first occurrence."""
     msgs = [
         Message(1, 0, 0.1, 5.0),
         Message(2, None, None, 5.0),  # marker: loses the t=5.0 tie below
@@ -236,17 +243,18 @@ def test_host_dedup_columnar_matches_scalar_adversarial():
         Message(4, 7, 0.7, 2.0),
     ]
     live_pairs = _bucketize(msgs, cells=[11, 22, 33], capacity=3)
-    scalar, columnar = _dedup_both(live_pairs)
-    assert columnar == scalar
-    assert list(columnar) == list(scalar)  # insertion order too
-    assert scalar[1].offset == 0.1 and scalar[1].cell == 11
-    assert scalar[2].is_removal
-    assert scalar[3].offset == 0.5
+    got = _dedup_host(live_pairs)
+    assert got == _dedup_spec(live_pairs)
+    assert list(got) == [1, 2, 3, 4]  # insertion order too
+    assert got[1].offset == 0.1 and got[1].cell == 11
+    assert got[2].is_removal and got[2].cell == 22
+    assert got[3].offset == 0.5
+    assert got[4].cell == 33
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**6))
-def test_host_dedup_columnar_matches_scalar_property(seed):
+def test_host_dedup_matches_spec_property(seed):
     rng = random.Random(seed)
     n = rng.randrange(1, 120)
     msgs = []
@@ -259,6 +267,7 @@ def test_host_dedup_columnar_matches_scalar_property(seed):
             msgs.append(Message(obj, rng.randrange(20), rng.random(), t))
     cells = [rng.randrange(50) for _ in range(4)]
     live_pairs = _bucketize(msgs, cells, capacity=rng.randrange(1, 7))
-    scalar, columnar = _dedup_both(live_pairs)
-    assert columnar == scalar
-    assert list(columnar) == list(scalar)
+    got = _dedup_host(live_pairs)
+    spec = _dedup_spec(live_pairs)
+    assert got == spec
+    assert list(got) == list(spec)

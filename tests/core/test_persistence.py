@@ -2,14 +2,16 @@
 
 import json
 import random
+import zlib
 
 import pytest
 
 from repro.config import GGridConfig
 from repro.core.ggrid import GGridIndex
 from repro.core.messages import Message
-from repro.errors import ReproError, UnknownObjectError
-from repro.persistence import load_index, save_index
+from repro.errors import PersistenceError, ReproError, UnknownObjectError
+from repro.persist import SnapshotStore, load_index, save_index
+from repro.persist.snapshot import _canonical
 from repro.roadnet import grid_road_network
 from repro.roadnet.location import NetworkLocation
 
@@ -39,15 +41,25 @@ def test_restored_index_answers_identically(medium_graph, tmp_path):
     index = _populated(medium_graph)
     restored = load_index(save_index(index, tmp_path / "snap.json"))
     q = NetworkLocation(0, 0.1)
-    a = index.knn(q, 5, t_now=2.0).distances()
-    b = restored.knn(q, 5, t_now=2.0).distances()
-    assert [round(x, 9) for x in a] == [round(x, 9) for x in b]
+    a = index.knn(q, 5, t_now=2.0).entries
+    b = restored.knn(q, 5, t_now=2.0).entries
+    assert [(e.obj, e.distance) for e in a] == [(e.obj, e.distance) for e in b]
 
 
-def test_version_mismatch_rejected(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"version": 999}))
-    with pytest.raises(ReproError):
+def _rewrite_body(path, edit):
+    """Apply ``edit`` to a saved snapshot's body and re-seal its CRC, so
+    only the body checks behind the envelope can reject the file."""
+    envelope = json.loads(path.read_text())
+    edit(envelope["body"])
+    envelope["crc"] = zlib.crc32(_canonical(envelope["body"]))
+    path.write_text(json.dumps(envelope))
+    return path
+
+
+def test_version_mismatch_rejected(medium_graph, tmp_path):
+    path = save_index(_populated(medium_graph), tmp_path / "snap.json")
+    _rewrite_body(path, lambda body: body.update(version=999))
+    with pytest.raises(PersistenceError, match="version 999"):
         load_index(path)
 
 
@@ -55,6 +67,74 @@ def test_malformed_snapshot_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 1, "graph": {}}))
     with pytest.raises(ReproError):
+        load_index(path)
+
+
+def test_save_index_writes_the_store_envelope(medium_graph, tmp_path):
+    index = _populated(medium_graph)
+    path = save_index(index, tmp_path / "snap.json")
+    loaded = SnapshotStore(tmp_path / "store").load(path)
+    assert loaded.watermark == 0
+    assert loaded.body["objects"] == [
+        [obj, e.edge, e.offset, e.t]
+        for obj, e in sorted(index.object_table.objects().items())
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.json", "store"]
+
+
+def _flip_digit(raw: bytes) -> bytes:
+    flipped = raw.replace(b"0.25", b"0.35", 1)  # the object table's offset
+    assert flipped != raw
+    return flipped
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda raw: raw[: len(raw) // 2], id="truncated"),
+        pytest.param(lambda raw: b"", id="empty"),
+        pytest.param(lambda raw: b"[" + raw + b"]", id="top-level-list"),
+        pytest.param(lambda raw: b"\xff\xfe" + raw, id="non-utf8"),
+        pytest.param(_flip_digit, id="flipped-digit"),
+        pytest.param(lambda raw: raw.replace(b'"crc": ', b'"crc": 1e999, "x": ', 1),
+                     id="infinite-crc"),
+        pytest.param(lambda raw: b"[" * 100_000 + b"]" * 100_000, id="deep-nesting"),
+    ],
+)
+def test_damaged_snapshot_file_raises_persistence_error(medium_graph, tmp_path, damage):
+    index = GGridIndex(medium_graph, GGridConfig(eta=3, delta_b=8))
+    index.ingest(Message(1, 0, 0.25, 3.0))
+    path = save_index(index, tmp_path / "snap.json")
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(PersistenceError):
+        load_index(path)
+
+
+def _misfiled_location(body):
+    """Move one location message to a cell that does not hold its edge."""
+    lists = body["lists"]
+    messages = lists[0][1]
+    message = next(m for m in messages if m[1] is not None)
+    messages.remove(message)
+    lists[1][1].append(message)
+
+
+@pytest.mark.parametrize(
+    ("edit", "match"),
+    [
+        pytest.param(lambda body: body["lists"][0].__setitem__(0, 10**6),
+                     "outside the grid", id="cell-beyond-grid"),
+        pytest.param(lambda body: body["lists"][0].__setitem__(0, -3),
+                     "outside the grid", id="negative-cell"),
+        pytest.param(_misfiled_location, "does not hold it", id="misfiled-location"),
+        pytest.param(lambda body: body["config"].update(gpu={}),
+                     "unknown config keys", id="unpersisted-config-key"),
+    ],
+)
+def test_crc_valid_malformed_body_rejected(medium_graph, tmp_path, edit, match):
+    path = save_index(_populated(medium_graph), tmp_path / "snap.json")
+    _rewrite_body(path, edit)
+    with pytest.raises(PersistenceError, match=match):
         load_index(path)
 
 

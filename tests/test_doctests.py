@@ -14,7 +14,7 @@ import repro.mobility.moto
 import repro.mobility.patterns
 import repro.obs
 import repro.obs.tracing
-import repro.persistence
+import repro.persist.snapshot
 import repro.roadnet.contraction
 import repro.roadnet.graph
 import repro.simgpu.device
@@ -27,7 +27,7 @@ MODULES = [
     repro.mobility.patterns,
     repro.obs,
     repro.obs.tracing,
-    repro.persistence,
+    repro.persist.snapshot,
     repro.roadnet.contraction,
     repro.simgpu.device,
 ]
