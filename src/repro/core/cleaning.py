@@ -12,7 +12,8 @@ Given the message lists of the cells a query touches, cleaning
    table ``T`` (one candidate slot per object per bundle);
 4. **collects** the per-object latest messages into the result table
    ``R``, copies ``R`` back and rewrites each cell's message list as the
-   compacted snapshot (one message per live object).
+   compacted snapshot: the winning message objects themselves, one per
+   live object, stably sorted by ``t``.
 
 The result — the up-to-date occupants of every cleaned cell — is what the
 kNN candidate phase consumes.
@@ -22,10 +23,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.config import GGridConfig
 from repro.core.message_list import Bucket, MessageList
-from repro.core.messages import CellMessage, Message
+from repro.core.messages import Message
 from repro.core.object_table import ObjectTable
 from repro.core.xshuffle import IntermediateTable, collect_kernel, x_shuffle_kernel
 from repro.obs.tracing import span
@@ -37,41 +39,31 @@ from repro.simgpu.stream import PipelinedStream
 _CHUNK_BUNDLES = 4
 
 
-@dataclass(frozen=True, slots=True)
-class CleanedLocation:
-    """Latest known position of an object after cleaning."""
-
-    edge: int
-    offset: float
-    t: float
-
-
 @dataclass
 class CleaningResult:
     """Outcome of one ``Message_Cleaning`` invocation.
 
     Attributes:
-        occupants: per cleaned cell, the live objects and their latest
-            locations (removal-marker-latest objects are excluded).
+        occupants: per cleaned cell, each live object's latest message
+            (removal-marker-latest objects are excluded).
         cells: the cells actually cleaned (locked lists are skipped).
         messages_processed: messages the GPU kernels consumed.
         buckets_shipped: buckets transferred to the device.
         messages_dropped: messages discarded as obsolete before transfer.
     """
 
-    occupants: dict[int, dict[int, CleanedLocation]] = field(default_factory=dict)
+    occupants: dict[int, dict[int, Message]] = field(default_factory=dict)
     cells: set[int] = field(default_factory=set)
     messages_processed: int = 0
     buckets_shipped: int = 0
     messages_dropped: int = 0
     objects_expired: int = 0
 
-    def all_objects(self) -> dict[int, tuple[int, CleanedLocation]]:
-        """Flatten to ``{obj: (cell, location)}``."""
-        flat: dict[int, tuple[int, CleanedLocation]] = {}
-        for cell, objs in self.occupants.items():
-            for obj, loc in objs.items():
-                flat[obj] = (cell, loc)
+    def all_objects(self) -> dict[int, Message]:
+        """Flatten to ``{obj: latest message}``."""
+        flat: dict[int, Message] = {}
+        for objs in self.occupants.values():
+            flat.update(objs)
         return flat
 
 
@@ -181,37 +173,31 @@ class MessageCleaner:
             for obj in cols.objs[cols.ts < cutoff].tolist():
                 object_table.remove(obj)
                 result.objects_expired += 1
-        for obj, message in latest.items():
+        for obj, (cell, message) in latest.items():
             if message.is_removal:
                 continue  # the object left this cell
             entry = object_table.try_get(obj)
-            if entry is None or entry.cell != message.cell:
+            if entry is None or entry.cell != cell:
                 continue  # moved away; its newer message lives elsewhere
-            result.occupants.setdefault(message.cell, {})[obj] = CleanedLocation(
-                message.edge, message.offset, message.t
-            )
+            result.occupants[cell][obj] = message
 
         for cell, mlist in locked.items():
             mlist.release_cleaned()
-            snapshot = [
-                Message(obj, loc.edge, loc.offset, loc.t)
-                for obj, loc in sorted(
-                    result.occupants.get(cell, {}).items(),
-                    key=lambda kv: kv[1].t,
-                )
-            ]
-            mlist.prepend_snapshot(snapshot)
+            mlist.prepend_snapshot(
+                sorted(result.occupants[cell].values(), key=attrgetter("t"))
+            )
         return result
 
     def _dedup_host(
         self,
         live_pairs: list[tuple[int, Bucket]],
         result: CleaningResult,
-    ) -> dict[int, CellMessage]:
+    ) -> dict[int, tuple[int, Message]]:
         """Degraded-mode steps 2-4 on the host: per-object latest message.
 
-        Semantically identical to X-shuffle + collect (which keep the
-        message with the greatest :attr:`CellMessage.sort_key` per
+        Returns ``{obj: (cell, message)}``, the shape ``GPU_Collect``
+        returns.  Semantically identical to X-shuffle + collect (which
+        keep the message with the greatest :attr:`Message.sort_key` per
         object, removal markers losing timestamp ties) without touching
         the device.  Used by the resilience ladder when the GPU is
         faulting; the wall time it costs is charged through the normal
@@ -228,27 +214,27 @@ class MessageCleaner:
         with span("dedup_host") as sp:
             result.messages_processed += total
             sp.set_attr("messages", total)
-            winners: dict[int, tuple[tuple[float, int], int, Message]] = {}
+            keys: dict[int, tuple[float, int]] = {}
+            winners: dict[int, tuple[int, Message]] = {}
             for cell, bucket in live_pairs:
                 for m in bucket.messages:
                     key = (m.t, 0 if m.is_removal else 1)
-                    prev = winners.get(m.obj)
-                    if prev is None or prev[0] < key:
-                        winners[m.obj] = (key, cell, m)
-            return {
-                obj: CellMessage.tag(m, cell) for obj, (_, cell, m) in winners.items()
-            }
+                    prev = keys.get(m.obj)
+                    if prev is None or prev < key:
+                        keys[m.obj] = key
+                        winners[m.obj] = (cell, m)
+            return winners
 
     def _run_gpu_pipeline(
         self,
         live_pairs: list[tuple[int, Bucket]],
         result: CleaningResult,
-    ) -> dict[int, CellMessage]:
+    ) -> dict[int, tuple[int, Message]]:
         """Steps 2-4 (GPU side): ship, X-shuffle and collect.
 
         Each chunk of ``(cell, bucket)`` pairs ships as its messages'
-        packed size; the kernel tags a message with its cell only when
-        the message wins a slot of ``T``.
+        packed size; a message that wins a slot of ``T`` lands there as
+        a ``(cell, message)`` pair, and collect returns those pairs.
         """
         if not live_pairs:
             return {}

@@ -35,9 +35,9 @@ write, and the writes land in a seeded random order (``rng.shuffle``)
 with last-write-wins — exactly the hazard a real GPU exhibits.  The loop
 stops at the first repetition with no writers, which is exact: an empty
 shuffle draws no randomness.  ``T`` is materialised into
-:class:`IntermediateTable` once, at the end of the launch, and a
-:class:`~repro.core.messages.CellMessage` is built only for a message
-that won its slot.
+:class:`IntermediateTable` once, at the end of the launch: a slot holds
+the winning bucket message itself, paired with its cell as
+``(cell, message)`` — no record is copied.
 
 Does the race's outcome depend on the shuffle order?  The winning
 *keys* never do: each repetition strictly raises a slot's stored key
@@ -81,7 +81,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.message_list import Bucket
-from repro.core.messages import CellMessage
+from repro.core.messages import Message
 from repro.core.mu import mu
 from repro.errors import KernelError
 from repro.simgpu.kernel import KernelContext
@@ -89,21 +89,22 @@ from repro.simgpu.kernel import KernelContext
 
 @dataclass
 class IntermediateTable:
-    """The table ``T``: per object, one candidate slot per bundle."""
+    """The table ``T``: per object, one candidate slot per bundle, each
+    holding a ``(cell, message)`` pair or ``None``."""
 
     num_bundles: int
-    slots: dict[int, list[CellMessage | None]] = field(default_factory=dict)
+    slots: dict[int, list[tuple[int, Message] | None]] = field(default_factory=dict)
 
-    def slot(self, obj: int, bundle: int) -> CellMessage | None:
+    def slot(self, obj: int, bundle: int) -> tuple[int, Message] | None:
         row = self.slots.get(obj)
         return row[bundle] if row is not None else None
 
-    def store(self, obj: int, bundle: int, message: CellMessage) -> None:
+    def store(self, obj: int, bundle: int, entry: tuple[int, Message]) -> None:
         row = self.slots.get(obj)
         if row is None:
             row = [None] * self.num_bundles
             self.slots[obj] = row
-        row[bundle] = message
+        row[bundle] = entry
 
     def device_nbytes(self) -> int:
         from repro.simgpu.memory import MESSAGE_BYTES, TABLE_ENTRY_BYTES
@@ -164,9 +165,7 @@ def x_shuffle_kernel(
     return processed
 
 
-def shuffle_round(
-    lanes: list[CellMessage | None], eta: int
-) -> list[CellMessage | None]:
+def shuffle_round(lanes: list[Message | None], eta: int) -> list[Message | None]:
     """One cache-and-shuffle round over a bundle's lanes (Algorithm 3
     lines 5-10 plus the final post-shuffle check, see module docstring).
 
@@ -332,8 +331,9 @@ def _materialise(
     lens: np.ndarray,
     first_bundle: int,
 ) -> None:
-    """Write the race's winners into ``T`` as cell-tagged messages, in
-    the order the race first wrote each object."""
+    """Write the race's winners into ``T`` as ``(cell, message)`` pairs
+    of the bucket's own message objects, in the order the race first
+    wrote each object."""
     winners = np.fromiter((m for _, slots in stored for m in slots.values()), np.int64)
     starts = np.cumsum(lens) - lens
     owner = np.searchsorted(starts, winners, side="right") - 1
@@ -351,24 +351,25 @@ def _materialise(
                     f"slot of object {obj} in bundle {bundle_id} already written"
                 )
             cell, bucket = buckets[k]
-            m = bucket.messages[i]
-            row[bundle_id] = CellMessage(m.obj, cell, m.edge, m.offset, m.t)
+            row[bundle_id] = (cell, bucket.messages[i])
 
 
 def collect_kernel(
     ctx: KernelContext, table: IntermediateTable
-) -> dict[int, CellMessage]:
+) -> dict[int, tuple[int, Message]]:
     """``GPU_Collect``: reduce each object's bundle slots to its latest.
 
     One thread per object scans the object's per-bundle candidates and
-    returns ``{obj: latest message}``.
+    returns ``{obj: (cell, latest message)}``.
     """
-    result: dict[int, CellMessage] = {}
+    result: dict[int, tuple[int, Message]] = {}
     for obj, row in table.slots.items():
-        latest: CellMessage | None = None
-        for m in row:
-            if m is not None and (latest is None or m.sort_key > latest.sort_key):
-                latest = m
+        latest: tuple[int, Message] | None = None
+        for entry in row:
+            if entry is not None and (
+                latest is None or entry[1].sort_key > latest[1].sort_key
+            ):
+                latest = entry
         if latest is not None:
             result[obj] = latest
     # parallel reduction over the bundle axis: log2 depth per object

@@ -5,14 +5,18 @@ occupants equal the eagerly-maintained object table restricted to those
 cells — lazy and eager agree.
 """
 
+import hashlib
+import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import GGridConfig
 from repro.core.ggrid import GGridIndex
 from repro.core.messages import Message
+from repro.persist import index_state
 from repro.roadnet.generators import grid_road_network
 
 
@@ -203,17 +207,15 @@ def _dedup_host(live_pairs):
 
 def _dedup_spec(live_pairs):
     """Per object, the first message carrying the maximal ``(t, flag)``
-    key (removal markers lose timestamp ties); objects listed by first
-    occurrence."""
-    from repro.core.messages import CellMessage
-
+    key (removal markers lose timestamp ties) as ``(cell, message)``;
+    objects listed by first occurrence."""
     flat = [(cell, m) for cell, bucket in live_pairs for m in bucket.messages]
     spec = {}
     for obj in dict.fromkeys(m.obj for _, m in flat):
         mine = [(cell, m) for cell, m in flat if m.obj == obj]
         best = max(m.sort_key for _, m in mine)
         cell, m = next((cell, m) for cell, m in mine if m.sort_key == best)
-        spec[obj] = CellMessage.tag(m, cell)
+        spec[obj] = (cell, m)
     return spec
 
 
@@ -246,10 +248,10 @@ def test_host_dedup_matches_spec_adversarial():
     got = _dedup_host(live_pairs)
     assert got == _dedup_spec(live_pairs)
     assert list(got) == [1, 2, 3, 4]  # insertion order too
-    assert got[1].offset == 0.1 and got[1].cell == 11
-    assert got[2].is_removal and got[2].cell == 22
-    assert got[3].offset == 0.5
-    assert got[4].cell == 33
+    assert got[1] == (11, msgs[0]) and got[1][1] is msgs[0]
+    assert got[2][1].is_removal and got[2][0] == 22
+    assert got[3][1].offset == 0.5
+    assert got[4][0] == 33
 
 
 @settings(max_examples=25, deadline=None)
@@ -271,3 +273,75 @@ def test_host_dedup_matches_spec_property(seed):
     spec = _dedup_spec(live_pairs)
     assert got == spec
     assert list(got) == list(spec)
+
+
+# ----------------------------------------------------------------------
+# the compacted snapshot cleaning writes
+# ----------------------------------------------------------------------
+def _moving_fleet():
+    """A seeded 20x20 grid whose objects hop between cells: every round
+    reports all objects at one shared ``t`` (so snapshot order among
+    equal-``t`` objects is the dedup's insertion order), and each hop to
+    another cell appends a removal marker tying the move's ``t``."""
+    graph = grid_road_network(20, 20, seed=7)
+    index = GGridIndex(graph, GGridConfig(eta=3, delta_b=4))
+    rng = random.Random(16)
+    for t in (1.0, 2.0, 3.0, 4.0):
+        for obj in range(400):
+            e = rng.randrange(graph.num_edges)
+            index.ingest(Message(obj, e, rng.uniform(0, graph.edge(e).weight), t))
+    return index
+
+
+def _clean_all(index, use_gpu):
+    cells = range(index.grid.num_cells)
+    lists = {c: index._list_of(c) for c in cells}
+    return index.cleaner.clean(lists, 4.0, index.object_table, use_gpu=use_gpu)
+
+
+def _lists_sha256(index) -> str:
+    lists = index_state(index)["lists"]
+    canonical = json.dumps(lists, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def test_compacted_snapshot_reuses_the_shipped_messages():
+    """Cleaning writes the winning message objects themselves into the
+    compacted snapshot; it builds no new record."""
+    index = _moving_fleet()
+    shipped = {c: list(mlist.messages()) for c, mlist in index.lists.items()}
+    result = _clean_all(index, use_gpu=True)
+    assert result.messages_dropped == 0  # every listed message was shipped
+    snapshot_sizes = 0
+    for cell in result.cells:
+        ids = {id(m) for m in shipped.get(cell, ())}
+        snapshot = index.lists[cell].messages()
+        assert all(id(m) in ids for m in snapshot)
+        snapshot_sizes += len(snapshot)
+    assert snapshot_sizes == index.num_objects == 400
+
+
+@pytest.mark.parametrize(
+    ("use_gpu", "digest"),
+    [
+        pytest.param(
+            True,
+            "87e2c8c0645ef52cd8da62acf798e5356681883e1a956d230dfc88c039c677b7",
+            id="gpu",
+        ),
+        pytest.param(
+            False,
+            "ef7f12515b11233aa74a6322f4cf9c0de890d2c6e68b0bee6e2a34bcb651709f",
+            id="host",
+        ),
+    ],
+)
+def test_compacted_lists_golden_hash(use_gpu, digest):
+    """The persisted list order after cleaning is observable (a restore
+    replays it), so it is pinned byte for byte on both rungs."""
+    index = _moving_fleet()
+    messages = [m for mlist in index.lists.values() for m in mlist.messages()]
+    assert any(m.is_removal for m in messages)
+    assert len(messages) > len({(m.obj, m.t) for m in messages})  # marker ties
+    _clean_all(index, use_gpu)
+    assert _lists_sha256(index) == digest

@@ -1,6 +1,6 @@
 """Unit tests for message records."""
 
-from repro.core.messages import CellMessage, Message
+from repro.core.messages import Message
 from repro.simgpu.memory import MESSAGE_BYTES
 
 
@@ -31,17 +31,3 @@ def test_newer_than_none():
 
 def test_device_size_is_packed():
     assert Message(1, 2, 0.5, 1.0).device_nbytes() == MESSAGE_BYTES
-    assert CellMessage(1, 7, 2, 0.5, 1.0).device_nbytes() == MESSAGE_BYTES
-
-
-def test_cell_message_tagging():
-    m = Message(9, 4, 0.25, 3.5)
-    cm = CellMessage.tag(m, cell=12)
-    assert (cm.obj, cm.cell, cm.edge, cm.offset, cm.t) == (9, 12, 4, 0.25, 3.5)
-    assert cm.sort_key == m.sort_key
-
-
-def test_cell_message_marker_tie():
-    marker = CellMessage(1, 0, None, None, 5.0)
-    real = CellMessage(1, 1, 3, 0.5, 5.0)
-    assert real.sort_key > marker.sort_key

@@ -129,6 +129,26 @@ def _misfiled_location(body):
         pytest.param(_misfiled_location, "does not hold it", id="misfiled-location"),
         pytest.param(lambda body: body["config"].update(gpu={}),
                      "unknown config keys", id="unpersisted-config-key"),
+        pytest.param(lambda body: body["lists"].append(body["lists"][0]),
+                     "listed twice", id="backlog-cell-twice"),
+        pytest.param(lambda body: body["objects"][0].__setitem__(2, 1e9),
+                     "outside", id="object-offset-beyond-edge"),
+        pytest.param(lambda body: body["objects"][0].__setitem__(2, float("nan")),
+                     "outside", id="object-offset-nan"),
+        pytest.param(lambda body: body["lists"][0][1][0].__setitem__(2, 1e9),
+                     "outside", id="backlog-offset-beyond-edge"),
+        pytest.param(lambda body: body["lists"][0][1][0].__setitem__(2, -float("inf")),
+                     "outside", id="backlog-offset-infinite"),
+        pytest.param(lambda body: body["lists"][0][1][0].__setitem__(2, None),
+                     "but offset", id="backlog-edge-without-offset"),
+        pytest.param(lambda body: body["lists"][0][1][0].__setitem__(1, None),
+                     "but offset", id="backlog-offset-without-edge"),
+        pytest.param(lambda body: body["objects"][0].__setitem__(3, float("inf")),
+                     "not finite", id="object-time-infinite"),
+        pytest.param(lambda body: body["lists"][0][1][0].__setitem__(3, float("nan")),
+                     "not finite", id="backlog-time-nan"),
+        pytest.param(lambda body: body.update(latest_time=float("nan")),
+                     "not finite", id="latest-time-nan"),
     ],
 )
 def test_crc_valid_malformed_body_rejected(medium_graph, tmp_path, edit, match):

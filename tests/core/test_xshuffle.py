@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.message_list import Bucket
-from repro.core.messages import CellMessage, Message
+from repro.core.messages import Message
 from repro.core.mu import mu
 from repro.core.xshuffle import (
     IntermediateTable,
@@ -27,20 +27,18 @@ from repro.errors import KernelError
 from repro.simgpu.device import SimGpu
 
 
-def _msg(obj: int, t: float, cell: int = 0) -> CellMessage:
-    return CellMessage(obj, cell, edge=0, offset=0.0, t=t)
+def _msg(obj: int, t: float) -> Message:
+    return Message(obj, edge=0, offset=0.0, t=t)
 
 
-def _pairs(buckets):
-    """Lists of cell-tagged messages -> the kernel's ``(cell, Bucket)``
-    input (each list holds one cell's messages)."""
-    pairs = []
-    for bucket in buckets:
-        cells = {m.cell for m in bucket}
-        assert len(cells) <= 1
-        messages = [Message(m.obj, m.edge, m.offset, m.t) for m in bucket]
-        pairs.append((cells.pop() if cells else 0, Bucket(max(1, len(bucket)), messages)))
-    return pairs
+def _pairs(buckets, cells=None):
+    """Lists of messages -> the kernel's ``(cell, Bucket)`` input; list
+    ``i`` is filed under ``cells[i]`` (cell 0 by default)."""
+    cells = cells or [0] * len(buckets)
+    return [
+        (cell, Bucket(max(1, len(bucket)), list(bucket)))
+        for cell, bucket in zip(cells, buckets)
+    ]
 
 
 def _clean_bundle(bundle, eta, mu_eta, table, bundle_id, rng):
@@ -52,7 +50,7 @@ def _clean_bundle(bundle, eta, mu_eta, table, bundle_id, rng):
     )
 
 
-def _run_kernel(buckets, eta, seed=0):
+def _run_kernel(buckets, eta, seed=0, cells=None):
     gpu = SimGpu()
     bundle_size = 1 << eta
     num_bundles = -(-len(buckets) // bundle_size)
@@ -61,7 +59,7 @@ def _run_kernel(buckets, eta, seed=0):
         "xshuffle",
         max(1, len(buckets)),
         x_shuffle_kernel,
-        _pairs(buckets),
+        _pairs(buckets, cells),
         eta,
         table,
         0,
@@ -74,34 +72,34 @@ def _run_kernel(buckets, eta, seed=0):
 def test_single_bucket_single_message():
     processed, _, latest, _ = _run_kernel([[_msg(7, 1.0)]], eta=3)
     assert processed == 1
-    assert latest[7].t == 1.0
+    assert latest[7] == (0, Message(7, 0, 0.0, 1.0))
 
 
 def test_latest_message_wins_within_bucket():
     bucket = [_msg(1, t) for t in (1.0, 5.0, 3.0)]
     _, _, latest, _ = _run_kernel([bucket], eta=3)
-    assert latest[1].t == 5.0
+    assert latest[1][1].t == 5.0
 
 
 def test_latest_message_wins_across_buckets():
     buckets = [[_msg(1, 1.0)], [_msg(1, 9.0)], [_msg(1, 4.0)], [_msg(2, 2.0)]]
     _, _, latest, _ = _run_kernel(buckets, eta=2)
-    assert latest[1].t == 9.0
-    assert latest[2].t == 2.0
+    assert latest[1][1].t == 9.0
+    assert latest[2][1].t == 2.0
 
 
 def test_ragged_buckets_handled():
     buckets = [[_msg(1, 1.0), _msg(1, 2.0)], [], [_msg(2, 1.0)]]
     processed, _, latest, _ = _run_kernel(buckets, eta=2)
     assert processed == 3
-    assert latest[1].t == 2.0
+    assert latest[1][1].t == 2.0
 
 
 def test_removal_marker_loses_timestamp_tie():
-    marker = CellMessage(1, 0, None, None, 5.0)
-    real = CellMessage(1, 1, 3, 0.25, 5.0)
-    _, _, latest, _ = _run_kernel([[marker], [real]], eta=2)
-    assert not latest[1].is_removal
+    marker = Message(1, None, None, 5.0)
+    real = Message(1, 3, 0.25, 5.0)
+    _, _, latest, _ = _run_kernel([[marker], [real]], eta=2, cells=[0, 1])
+    assert latest[1] == (1, real)
 
 
 def test_kernel_charges_work():
@@ -132,7 +130,7 @@ def test_latest_always_survives(seed, eta, num_objects):
             truth[obj] = t
         buckets.append(bucket)
     _, _, latest, _ = _run_kernel(buckets, eta, seed=seed)
-    assert {o: m.t for o, m in latest.items()} == truth
+    assert {o: m.t for o, (_, m) in latest.items()} == truth
 
 
 @settings(max_examples=15, deadline=None)
@@ -164,7 +162,7 @@ def test_racy_writes_converge(seed):
     bundle = [[_msg(0, float(t))] for t in times]
     table = IntermediateTable(1)
     _clean_bundle(bundle, eta, mu(eta), table, 0, rng)
-    assert table.slot(0, 0).t == float(bundle_size - 1)
+    assert table.slot(0, 0)[1].t == float(bundle_size - 1)
 
 
 def test_overlapping_bundle_ranges_rejected():
@@ -180,7 +178,7 @@ def test_overlapping_bundle_ranges_rejected():
 def test_intermediate_table_slots():
     table = IntermediateTable(3)
     assert table.slot(5, 1) is None
-    table.store(5, 1, _msg(5, 2.0))
-    assert table.slot(5, 1).t == 2.0
+    table.store(5, 1, (0, _msg(5, 2.0)))
+    assert table.slot(5, 1) == (0, _msg(5, 2.0))
     assert table.slot(5, 0) is None
     assert table.device_nbytes() > 0

@@ -4,7 +4,9 @@ Both kernels run the same launches with the same race seed; everything
 observable must be equal with ``==`` and no tolerance — messages
 processed, every slot of ``T`` in insertion order, the collected result
 in order, every ``GpuStats`` field (simulated time included) and the
-random generator's state afterwards.
+random generator's state afterwards.  The array kernel's ``(cell,
+message)`` entries and the reference's records are both compared as
+``(cell, obj, edge, offset, t)`` tuples.
 """
 
 import dataclasses
@@ -14,13 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.message_list import Bucket
-from repro.core.messages import CellMessage, Message
+from repro.core.messages import Message
 from repro.core.xshuffle import IntermediateTable, collect_kernel, x_shuffle_kernel
 from repro.simgpu.device import SimGpu
 from tests.core import xshuffle_reference as reference
 
 
-def _launches(kernel, buckets, eta, chunk_bundles, seed):
+def _launches(kernel, collect, buckets, eta, chunk_bundles, seed):
     """Run ``buckets`` as pipeline chunks of ``chunk_bundles`` bundles
     each (one launch per chunk, sharing ``T`` and the race generator),
     then collect — the shape of ``MessageCleaner``'s GPU pipeline."""
@@ -42,19 +44,40 @@ def _launches(kernel, buckets, eta, chunk_bundles, seed):
         )
         for i in range(0, max(1, len(buckets)), chunk)
     ]
-    latest = gpu.launch("GPU_Collect", max(1, len(table.slots)), collect_kernel, table)
+    latest = gpu.launch("GPU_Collect", max(1, len(table.slots)), collect, table)
     return processed, table, latest, gpu, rng
 
 
+def _flat(entry):
+    """A ``(cell, Message)`` pair or a reference record, as the tuple
+    ``(cell, obj, edge, offset, t)``; ``None`` stays ``None``."""
+    if entry is None:
+        return None
+    if isinstance(entry, reference.CellMessage):
+        return dataclasses.astuple(entry)
+    cell, m = entry
+    return (cell, m.obj, m.edge, m.offset, m.t)
+
+
 def _assert_identical(pairs, eta, chunk_bundles, seed):
-    tagged = [[CellMessage.tag(m, cell) for m in b.messages] for cell, b in pairs]
-    want = _launches(reference.x_shuffle_kernel, tagged, eta, chunk_bundles, seed)
-    got = _launches(x_shuffle_kernel, pairs, eta, chunk_bundles, seed)
+    tagged = [
+        [reference.CellMessage(cell, m.obj, m.edge, m.offset, m.t) for m in b.messages]
+        for cell, b in pairs
+    ]
+    want = _launches(
+        reference.x_shuffle_kernel, reference.collect_kernel, tagged, eta,
+        chunk_bundles, seed,
+    )
+    got = _launches(x_shuffle_kernel, collect_kernel, pairs, eta, chunk_bundles, seed)
     w_processed, w_table, w_latest, w_gpu, w_rng = want
     g_processed, g_table, g_latest, g_gpu, g_rng = got
     assert g_processed == w_processed
-    assert list(g_table.slots.items()) == list(w_table.slots.items())
-    assert list(g_latest.items()) == list(w_latest.items())
+    assert [(obj, [_flat(e) for e in row]) for obj, row in g_table.slots.items()] == [
+        (obj, [_flat(e) for e in row]) for obj, row in w_table.slots.items()
+    ]
+    assert [(obj, _flat(e)) for obj, e in g_latest.items()] == [
+        (obj, _flat(e)) for obj, e in w_latest.items()
+    ]
     assert dataclasses.asdict(g_gpu.stats) == dataclasses.asdict(w_gpu.stats)
     assert g_rng.getstate() == w_rng.getstate()
 

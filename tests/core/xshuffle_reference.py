@@ -7,19 +7,41 @@ property in ``test_xshuffle_differential.py`` runs both on the same
 launches and seeds and requires identical tables, counters, simulated
 time and random-generator state.
 
-Only its input differs from the array kernel: each bucket here is a list
-of cell-tagged messages rather than a ``(cell, Bucket)`` pair.
+Only its records differ from the array kernel: each bucket here is a
+list of cell-tagged :class:`CellMessage` records (private to this model)
+rather than a ``(cell, Bucket)`` pair, ``T`` holds those records rather
+than ``(cell, message)`` pairs, and :func:`collect_kernel` reduces them.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
-from repro.core.messages import CellMessage
 from repro.core.mu import mu
 from repro.core.xshuffle import IntermediateTable
 from repro.simgpu import warp as warp_mod
 from repro.simgpu.kernel import KernelContext
+
+
+@dataclass(frozen=True, slots=True)
+class CellMessage:
+    """A message tagged with its cell id, ``<o, c, e, d, t>``."""
+
+    cell: int
+    obj: int
+    edge: int | None
+    offset: float | None
+    t: float
+
+    @property
+    def is_removal(self) -> bool:
+        return self.edge is None
+
+    @property
+    def sort_key(self) -> tuple[float, int]:
+        """Removal markers lose timestamp ties."""
+        return (self.t, 0 if self.is_removal else 1)
 
 
 def x_shuffle_kernel(
@@ -140,3 +162,21 @@ def _clean_bundle(
                 table.store(lanes[lane].obj, bundle_id, lanes[lane])
             atomic_writes += len(writers)
     return processed, atomic_writes
+
+
+def collect_kernel(
+    ctx: KernelContext, table: IntermediateTable
+) -> dict[int, CellMessage]:
+    """``GPU_Collect`` over this model's records: per object, the first
+    slot holding the greatest sort key."""
+    result: dict[int, CellMessage] = {}
+    for obj, row in table.slots.items():
+        latest: CellMessage | None = None
+        for m in row:
+            if m is not None and (latest is None or m.sort_key > latest.sort_key):
+                latest = m
+        if latest is not None:
+            result[obj] = latest
+    depth = max(1, (table.num_bundles - 1).bit_length())
+    ctx.charge(depth, n_threads=max(1, len(table.slots)))
+    return result
