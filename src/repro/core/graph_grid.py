@@ -184,6 +184,7 @@ class GraphGrid:
         self.cell_of_vertex: list[int] = list(assignment.cell_of_vertex)
         self._edge_cell: list[int] = [0] * graph.num_edges
         self._edge_source: list[int] = [0] * graph.num_edges
+        self.edge_weight: list[float] = [e.weight for e in graph.edges()]  # check_update
         self._neighbors: list[frozenset[int]] = []
         self._populate()
 

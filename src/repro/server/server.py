@@ -24,7 +24,7 @@ from typing import Protocol, runtime_checkable
 from pathlib import Path
 
 from repro.core.knn import BatchExecStats, KnnAnswer
-from repro.core.messages import Message
+from repro.core.messages import Message, check_time
 from repro.errors import QueryError
 from repro.mobility.workload import Query, Workload
 from repro.obs.hub import Observability, default_observability
@@ -296,6 +296,8 @@ class QueryServer:
         backoff_before = getattr(self.index, "resilience_backoff_s", 0.0)
         t0 = time.perf_counter()
         if self.durability is not None:
+            # a refused update must reach no WAL, replica or snapshot
+            self.index.check_update(message)
             # write-ahead: the update is durable the moment it is logged,
             # so recovery replays it even if we die before applying it
             self.durability.log_ingest(message)
@@ -364,6 +366,7 @@ class QueryServer:
                 f"index {self.index.name!r} does not support object removal"
             )
         if self.durability is not None:
+            check_time(obj, t)
             self.durability.log_remove(obj, t)
         remove(obj, t)
         if self.subscriptions is not None:

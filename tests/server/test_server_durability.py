@@ -60,6 +60,42 @@ def test_snapshot_policy_fires_during_serving(small_graph, tmp_path):
     assert newest.watermark == 20
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param(Message(3, 0, 1e9, 30.0), id="offset-beyond-edge"),
+        pytest.param(Message(3, 0, 0.1, float("inf")), id="time-infinite"),
+        pytest.param(Message(3, 0, None, 30.0), id="edge-without-offset"),
+    ],
+)
+def test_refused_update_never_reaches_wal_or_snapshot(small_graph, tmp_path, bad):
+    """An update the index refuses is refused before the WAL append, so
+    no snapshot holds it and recovery still restores the newest one."""
+    manager = DurabilityManager(
+        tmp_path, snapshot_policy=SnapshotPolicy(every_records=10)
+    )
+    server = QueryServer(GGridIndex(small_graph, _CONFIG), durability=manager)
+    report = ReplayReport(index_name="g-grid")
+    messages = _messages(small_graph, 20)
+    for m in messages[:10]:
+        server.update(m, report)
+    with pytest.raises(QueryError):
+        server.update(bad, report)
+    with pytest.raises(QueryError, match="not finite"):
+        server.remove_object(messages[0].obj, t=float("nan"))
+    for m in messages[10:]:
+        server.update(m, report)
+    manager.close()
+    assert len(read_wal(tmp_path / "wal").records) == 20
+    assert manager.snapshots.snapshots_written == 2
+
+    recovered = QueryServer.recover(tmp_path, graph=small_graph, config=_CONFIG)
+    assert recovered.recovery_report.snapshot_watermark == 20
+    assert recovered.recovery_report.snapshots_rejected == 0
+    assert recovered.index.object_table.objects() == server.index.object_table.objects()
+    recovered.durability.close()
+
+
 def test_remove_object_requires_index_support(small_graph, tmp_path):
     from repro.baselines.naive import NaiveKnnIndex
 
